@@ -235,12 +235,11 @@ fn control_request(
 ) -> Result<(), CliError> {
     use std::io::{BufRead, BufReader, Write};
 
-    let stream = connect_with_retry(addr)?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| CliError::new(format!("cannot clone connection: {e}")))?;
-    writeln!(writer, "{request}").map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
+    let mut stream = connect_with_retry(addr)?;
+    // one write for the request and its newline
+    stream
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(io_err)?;
 
     let mut reply = String::new();
     BufReader::new(stream)

@@ -108,7 +108,6 @@ impl BlackboxWriter {
             ("rings".to_string(), Json::Num(rings.len() as f64)),
         ]);
         out.push_str(&frame_spool_line(&header.render()));
-        out.push('\n');
         for ring in &rings {
             let ring_header = Json::Obj(vec![
                 ("kind".to_string(), Json::str("ring")),
@@ -118,10 +117,8 @@ impl BlackboxWriter {
                 ("lines".to_string(), Json::Num(ring.lines.len() as f64)),
             ]);
             out.push_str(&frame_spool_line(&ring_header.render()));
-            out.push('\n');
             for line in &ring.lines {
                 out.push_str(&frame_spool_line(line));
-                out.push('\n');
             }
         }
         let result = fs::File::create(&path).and_then(|mut f| {

@@ -378,7 +378,7 @@ impl CheckpointStore {
             let tmp = path.with_extension("json.tmp");
             {
                 let mut f = File::create(&tmp)?;
-                writeln!(f, "{line}")?;
+                f.write_all(line.as_bytes())?;
                 f.sync_all()?;
             }
             if path.exists() {

@@ -96,6 +96,7 @@ impl Drop for MetricsServer {
 
 fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -122,11 +123,12 @@ fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> 
             "not found\n".to_string(),
         )
     };
-    write!(
-        stream,
+    // one write for head and body (`write!` makes one per format piece)
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

@@ -158,10 +158,7 @@ fn write_escaped(s: &str, out: &mut String) {
 ///
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -172,11 +169,20 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -244,57 +250,51 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // surrogate pairs: a high surrogate must be
-                            // followed by \uXXXX with the low half
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a char boundary of `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            let quote = self.bytes[self.pos] == b'"';
+            self.pos += 1;
+            if quote {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let cp = self.hex4()?;
+                    // surrogate pairs: a high surrogate must be followed by
+                    // \uXXXX with the low half
+                    let c = if (0xD800..0xDC00).contains(&cp) {
+                        if self.peek() == Some(b'\\') {
+                            self.pos += 1;
+                            self.expect(b'u')?;
+                            let lo = self.hex4()?;
+                            let combined =
+                                0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                            char::from_u32(combined)
+                        } else {
+                            None
                         }
-                        c => return Err(format!("bad escape '\\{}'", c as char)),
-                    }
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    out.push(c.unwrap_or('\u{FFFD}'));
                 }
-                Some(_) => {
-                    // consume one UTF-8 scalar (input is a &str, so valid)
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                c => return Err(format!("bad escape '\\{}'", c as char)),
             }
         }
     }
@@ -386,9 +386,10 @@ mod tests {
 
     #[test]
     fn unicode_escapes_decode() {
-        assert_eq!(parse(r#""é""#).unwrap(), Json::str("é"));
+        let escaped = |hex: &str| format!("\"\\u{hex}\"");
+        assert_eq!(parse(&escaped("00e9")).unwrap(), Json::str("é"));
         // surrogate pair for 😀 (U+1F600)
-        assert_eq!(parse(r#""😀""#).unwrap(), Json::str("😀"));
+        assert_eq!(parse(&escaped("d83d\\ude00")).unwrap(), Json::str("😀"));
         // lone high surrogate degrades to the replacement character
         assert_eq!(parse(r#""\ud83dx""#).unwrap(), Json::str("\u{FFFD}x"));
     }
@@ -416,6 +417,145 @@ mod tests {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(Json::Num(-0.5).render(), "-0.5");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
+    }
+
+    /// The per-character scanner `Parser::string` replaced, kept as the
+    /// reference its run-copying version must agree with. It revalidated
+    /// the rest of the input as UTF-8 for every character, so it is
+    /// quadratic in the input length.
+    fn reference_string(p: &mut Parser<'_>) -> Result<String, String> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    let esc = p.peek().ok_or("unterminated escape")?;
+                    p.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let cp = p.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&cp) {
+                                if p.peek() == Some(b'\\') {
+                                    p.pos += 1;
+                                    p.expect(b'u')?;
+                                    let lo = p.hex4()?;
+                                    let combined = 0x10000
+                                        + ((cp - 0xD800) << 10)
+                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                                    char::from_u32(combined)
+                                } else {
+                                    None
+                                }
+                            } else {
+                                char::from_u32(cp)
+                            };
+                            out.push(c.unwrap_or('\u{FFFD}'));
+                        }
+                        c => return Err(format!("bad escape '\\{}'", c as char)),
+                    }
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&p.bytes[p.pos..])
+                        .map_err(|_| "invalid utf-8".to_string())?;
+                    let c = rest.chars().next().expect("peeked non-empty");
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// [`parse`] for a document that is one string, through the reference.
+    fn reference_parse(input: &str) -> Result<Json, String> {
+        let mut p = Parser::new(input);
+        p.skip_ws();
+        let v = Json::Str(reference_string(&mut p)?);
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    /// String-body pieces: plain and multibyte text, every escape, valid
+    /// and broken surrogates, and malformed escapes.
+    const PIECES: &[&str] = &[
+        "a",
+        "Z9 ",
+        "\t",
+        "\u{1}",
+        "é",
+        "€",
+        "😀",
+        "中文",
+        r#"\""#,
+        r"\\",
+        r"\/",
+        r"\b",
+        r"\f",
+        r"\n",
+        r"\r",
+        r"\t",
+        concat!("\\", "u00e9"),
+        concat!("\\", "u20ac"),
+        r"\u0000",
+        concat!("\\", "ud83d", "\\", "ude00"),
+        r"\ud83d",
+        r"\udc00",
+        r"\ud83d\n",
+        concat!("\\", "ud83d", "\\", "u00e9"),
+        r"\u12",
+        r"\u12é",
+        r"\uzzzz",
+        r"\x",
+        "\\",
+        "\"",
+    ];
+
+    fn check_against_reference(body: &str) {
+        let doc = format!("\"{body}\"");
+        assert_eq!(parse(&doc), reference_parse(&doc), "document {doc:?}");
+    }
+
+    #[test]
+    fn string_parsing_matches_the_per_char_reference() {
+        // every piece next to every other, in both orders: each escape
+        // lands beside each multibyte character
+        for a in PIECES {
+            check_against_reference(a);
+            for b in PIECES {
+                check_against_reference(&format!("{a}{b}"));
+            }
+        }
+        // random concatenations (xorshift64, fixed seed)
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2000 {
+            let len = next() % 12;
+            let body: String = (0..len)
+                .map(|_| PIECES[(next() % PIECES.len() as u64) as usize])
+                .collect();
+            check_against_reference(&body);
+        }
     }
 
     #[test]

@@ -498,7 +498,9 @@ pub const WIRE_VERSION: u64 = 1;
 /// The oldest wire-protocol version this build still accepts.
 pub const WIRE_MIN_VERSION: u64 = 1;
 
-/// Write one length-prefixed frame (`u32` big-endian length + payload).
+/// Write one length-prefixed frame (`u32` big-endian length + payload)
+/// with a single `write`: a frame split across two writes leaves its tail
+/// for Nagle's algorithm to hold until the peer ACKs the head.
 ///
 /// # Errors
 ///
@@ -507,8 +509,25 @@ pub fn write_wire_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io:
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "wire frame over 4 GiB")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
+    w.flush()
+}
+
+/// Write one NDJSON reply line (`reply` plus its `\n`) with a single
+/// `write`, for the same reason as [`write_wire_frame`].
+///
+/// # Errors
+///
+/// Any I/O error from the underlying writer.
+pub(crate) fn write_reply_line(
+    w: &mut impl std::io::Write,
+    mut reply: String,
+) -> std::io::Result<()> {
+    reply.push('\n');
+    w.write_all(reply.as_bytes())?;
     w.flush()
 }
 
@@ -976,6 +995,97 @@ mod tests {
         assert!(matches!(read(&mut cursor).unwrap(), WireRead::Frame(p) if p.is_empty()));
         assert!(matches!(read(&mut cursor).unwrap(), WireRead::Frame(p) if p == b"world!"));
         assert!(matches!(read(&mut cursor).unwrap(), WireRead::Eof));
+    }
+
+    /// A writer that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn wire_frames_and_reply_lines_leave_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_wire_frame(&mut w, b"payload").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"\0\0\0\x07payload");
+
+        let mut w = CountingWriter::default();
+        write_reply_line(&mut w, r#"{"type":"ok"}"#.to_string()).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"{\"type\":\"ok\"}\n");
+    }
+
+    #[test]
+    fn paper_scale_observe_line_parses_to_its_source_rows() {
+        // the paper's largest deployment: 33 x 4 x 4 x 20 = 10,560 leaves
+        let mut rows = Vec::with_capacity(33 * 4 * 4 * 20);
+        for l in 0..33 {
+            for i in 0..4 {
+                for p in 0..4 {
+                    for w in 0..20 {
+                        let names = vec![
+                            format!("location-{l:02}"),
+                            format!("isp-{i}"),
+                            format!("province-{p}"),
+                            format!("website-é{w:02}"),
+                        ];
+                        let value = (rows.len() as f64) * 1.37 + 0.25;
+                        rows.push((names, value));
+                    }
+                }
+            }
+        }
+        let row_json = |(names, value): &(Vec<String>, f64)| {
+            Json::Arr(vec![
+                Json::Arr(names.iter().map(Json::str).collect()),
+                Json::Num(*value),
+            ])
+        };
+        let line = Json::Obj(vec![
+            ("type".to_string(), Json::str("observe")),
+            ("tenant".to_string(), Json::str("cdn")),
+            (
+                "rows".to_string(),
+                Json::Arr(rows.iter().map(row_json).collect()),
+            ),
+        ])
+        .render();
+        assert!(line.len() >= 400_000, "line is only {} bytes", line.len());
+        let expected = Request::Observe {
+            tenant: "cdn".to_string(),
+            rows,
+            ts: None,
+        };
+        // linear parsing takes well under a second even unoptimized; a scan
+        // that is quadratic in the line length takes minutes
+        let start = std::time::Instant::now();
+        assert_eq!(parse_request(&line, line.len()).unwrap(), expected);
+        // the router's envelope carries the same line as one escaped string
+        let envelope = WireEnvelope {
+            line,
+            frame: Some(("cdn-1".to_string(), 1)),
+        };
+        let back = WireEnvelope::parse(&envelope.render()).unwrap();
+        assert_eq!(back, envelope);
+        assert_eq!(
+            parse_request(&back.line, back.line.len()).unwrap(),
+            expected
+        );
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs() < 10, "three parses took {elapsed:?}");
     }
 
     #[test]

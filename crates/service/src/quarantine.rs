@@ -225,8 +225,9 @@ impl QuarantineSink {
             if obs::fail::should_error("quarantine-write-error") {
                 return Err(io::Error::other("injected quarantine write error"));
             }
-            writeln!(file, "{line}").and_then(|()| file.flush())?;
-            *bytes += line.len() as u64 + 1;
+            file.write_all(line.as_bytes())
+                .and_then(|()| file.flush())?;
+            *bytes += line.len() as u64;
             if self.max_bytes > 0 && *bytes > self.max_bytes {
                 // rotate this tenant's segment: current → `.jsonl.1`
                 // (evicting the previous one), fresh file for appends

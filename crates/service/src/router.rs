@@ -51,17 +51,14 @@ use crate::http::MetricsServer;
 use crate::json::{parse, Json};
 use crate::metrics::{Metrics, RouterMetrics};
 use crate::proto::{
-    self, parse_request, Request, WireEnvelope, WireRead, WIRE_MIN_VERSION, WIRE_VERSION,
+    self, parse_request, write_reply_line, Request, WireEnvelope, WireRead, WIRE_MIN_VERSION,
+    WIRE_VERSION,
 };
 use crate::retry::Backoff;
-use crate::server::{read_line_limited, DrainGate, LineRead};
+use crate::server::{configure_stream, read_line_limited, DrainGate, LineRead};
 use crate::supervisor::{Supervisor, WorkerCommand};
 use crate::sync::lock_recover;
 use crate::wal;
-
-/// Socket read-timeout granularity: how often blocked reads poll the
-/// shutdown flag and request deadlines.
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// How often the pump thread retries parked frames.
 const PUMP_INTERVAL: Duration = Duration::from_millis(100);
@@ -545,9 +542,7 @@ fn connect_handshake(
             }
         }
     };
-    stream
-        .set_read_timeout(Some(READ_POLL))
-        .map_err(|e| e.to_string())?;
+    configure_stream(&stream).map_err(|e| e.to_string())?;
     let mut stream = stream;
     let max = 64 * 1024;
     let ack = wire_call(&mut stream, &proto::hello_frame(), max, until, shutdown)?;
@@ -594,8 +589,8 @@ fn wire_call(
 // ---------------------------------------------------------------------
 
 fn handle_client(stream: TcpStream, router: &Router) {
-    use std::io::{BufReader, Write};
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    use std::io::BufReader;
+    if configure_stream(&stream).is_err() {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else {
@@ -630,19 +625,14 @@ fn handle_client(stream: TcpStream, router: &Router) {
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
                 let reply = proto::ProtoError::Oversized { len, max }.to_reply();
-                if writeln!(writer, "{reply}").is_err() {
+                if write_reply_line(&mut writer, reply).is_err() {
                     return;
                 }
                 line.clear();
             }
             Ok(LineRead::Line) => {
-                let text = String::from_utf8_lossy(&line).into_owned();
-                let text = text.trim();
-                if !text.is_empty() {
-                    let reply = dispatch_router(text, router);
-                    if writeln!(writer, "{reply}").is_err() {
-                        return;
-                    }
+                if respond(&mut writer, &line, router).is_err() {
+                    return;
                 }
                 line.clear();
             }
@@ -651,14 +641,12 @@ fn handle_client(stream: TcpStream, router: &Router) {
 }
 
 fn respond(writer: &mut TcpStream, raw: &[u8], router: &Router) -> io::Result<()> {
-    use std::io::Write;
     let text = String::from_utf8_lossy(raw);
     let text = text.trim();
     if text.is_empty() {
         return Ok(());
     }
-    let reply = dispatch_router(text, router);
-    writeln!(writer, "{reply}")
+    write_reply_line(writer, dispatch_router(text, router))
 }
 
 /// Route one client request line: data verbs to their tenant's worker,
@@ -1241,5 +1229,23 @@ mod tests {
             parse_request(&schema, 1 << 20),
             Ok(Request::Schema { .. })
         ));
+    }
+
+    #[test]
+    fn worker_links_disable_nagle() {
+        // a stand-in worker that answers one hello
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let hello = proto::read_wire_frame(&mut conn, 1 << 16, || true).unwrap();
+            assert!(matches!(hello, WireRead::Frame(_)));
+            let ack = proto::hello_ack_frame(WIRE_VERSION, 0, 0);
+            proto::write_wire_frame(&mut conn, ack.as_bytes()).unwrap();
+        });
+        let until = Instant::now() + Duration::from_secs(10);
+        let stream = connect_handshake(&addr, 0, until, &AtomicBool::new(false)).unwrap();
+        assert!(stream.nodelay().unwrap());
+        peer.join().unwrap();
     }
 }

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -34,7 +34,7 @@ use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::http::MetricsServer;
 use crate::json::Json;
 use crate::metrics::{build_version, Metrics};
-use crate::proto::{build_frame, parse_request, ProtoError, Request};
+use crate::proto::{build_frame, parse_request, write_reply_line, ProtoError, Request};
 use crate::quarantine::{QuarantineRecord, QuarantineSink};
 use crate::shard::{LocalizerFactory, ShardPool, TenantDebug};
 use crate::sink::IncidentSink;
@@ -44,8 +44,20 @@ use crate::wal::{FrameWal, WalEntry};
 /// How long a `flush` request waits for the shards before giving up.
 const FLUSH_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Reader-thread poll interval for the shutdown flag.
+/// Socket read-timeout granularity: how often blocked reads poll the
+/// shutdown flag and request deadlines.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Set up one rapd TCP stream, accepted or dialed: reads time out every
+/// [`READ_POLL`], and `TCP_NODELAY` is on. Every reply and wire frame
+/// leaves in a single `write`, so Nagle's algorithm has nothing to
+/// coalesce; left on, it holds a reply until the peer ACKs the previous
+/// segment, and a peer that delays that ACK (40 ms on Linux) stalls the
+/// reply with it.
+pub(crate) fn configure_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_nodelay(true)
+}
 
 /// Why the daemon failed to boot.
 #[derive(Debug)]
@@ -515,7 +527,7 @@ fn discard_to_newline(reader: &mut BufReader<TcpStream>, mut seen: usize) -> io:
 }
 
 pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if configure_stream(&stream).is_err() {
         return;
     }
     let Ok(write_half) = stream.try_clone() else {
@@ -553,7 +565,7 @@ pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
                 let reply = ProtoError::Oversized { len, max }.to_reply();
-                if writeln!(writer, "{reply}").is_err() {
+                if write_reply_line(&mut writer, reply).is_err() {
                     return;
                 }
                 line.clear();
@@ -590,7 +602,7 @@ fn respond(writer: &mut TcpStream, raw: &[u8], shared: &Shared) -> io::Result<()
             e.to_reply()
         }
     };
-    writeln!(writer, "{reply}")
+    write_reply_line(writer, reply)
 }
 
 /// The observe verb's ingest hot path: admission, accounting, the WAL

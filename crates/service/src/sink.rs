@@ -308,23 +308,39 @@ fn trace_to_json(trace: &LocalizationTrace) -> Json {
     ])
 }
 
-/// IEEE CRC-32 (polynomial `0xEDB88320`), bitwise — the spool is
-/// low-volume (one line per incident) so a lookup table buys nothing.
+/// IEEE CRC-32 (polynomial `0xEDB88320`), one table lookup per byte:
+/// every WAL append checksums a whole frame, so this runs over every
+/// ingested byte.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
-/// One spool line's payload with its checksum suffix.
+/// `CRC32_TABLE[i]`: the register after shifting byte `i` through the
+/// polynomial's eight bitwise rounds.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut round = 0;
+        while round < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            round += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// One spool line: the payload, its checksum suffix and the terminating
+/// newline, ready to append with a single `write`.
 pub(crate) fn frame_spool_line(json: &str) -> String {
-    format!("{json}\t{:08x}", crc32(json.as_bytes()))
+    format!("{json}\t{:08x}\n", crc32(json.as_bytes()))
 }
 
 /// What [`IncidentSink::open`] found when scanning an existing spool.
@@ -584,14 +600,11 @@ impl IncidentSink {
             if obs::fail::should_error("spool-write-error") {
                 Err(io::Error::other("injected spool write error"))
             } else {
-                writeln!(file, "{line}")
+                file.write_all(line.as_bytes())
                     .and_then(|()| file.flush())
                     .and_then(|()| {
-                        let bytes = spool
-                            .bytes
-                            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed)
-                            + line.len() as u64
-                            + 1;
+                        let bytes = spool.bytes.fetch_add(line.len() as u64, Ordering::Relaxed)
+                            + line.len() as u64;
                         if spool.max_bytes > 0 && bytes > spool.max_bytes {
                             self.rotate(spool, &mut file)?;
                         }
@@ -742,6 +755,37 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bitwise CRC-32 the table version replaced: eight shift/xor
+    /// rounds per byte.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_reference() {
+        // xorshift64 with a fixed seed: random lengths and bytes
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..500 {
+            let len = (next() % 1024) as usize;
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&data), crc32_bitwise(&data), "input {data:?}");
+        }
+    }
+
     #[test]
     fn empty_spool_recovers_to_nothing() {
         let dir = scratch("empty");
@@ -857,7 +901,8 @@ mod tests {
         let path = dir.join("incidents.jsonl");
         // the write completed but the trailing newline was lost
         let framed = frame_spool_line(&record("t", 7).to_json().render());
-        fs::write(&path, &framed).unwrap();
+        let framed = framed.trim_end();
+        fs::write(&path, framed).unwrap();
         let m = metrics();
         let _sink = IncidentSink::open(Some(&dir), 8, 0, Arc::clone(&m)).unwrap();
         assert_eq!(m.spool_recovered_lines.load(Ordering::Relaxed), 1);
@@ -977,7 +1022,7 @@ mod tests {
     #[test]
     fn judge_line_distinguishes_every_verdict() {
         // checksummed line → Verified
-        let framed = frame_spool_line(r#"{"tenant":"t"}"#);
+        let framed = frame_spool_line(r#"{"tenant":"t"}"#).trim_end().to_string();
         assert_eq!(judge_line(&framed), LineVerdict::Verified);
         // bare JSON object (pre-CRC spool) → Legacy
         assert_eq!(judge_line(r#"{"tenant":"t"}"#), LineVerdict::Legacy);

@@ -218,7 +218,7 @@ impl FrameWal {
             if obs::fail::should_error("wal-append-error") {
                 return Err(io::Error::other("injected wal append error"));
             }
-            writeln!(file, "{line}")?;
+            file.write_all(line.as_bytes())?;
             file.flush()?;
             if self.fsync {
                 file.sync_data()?;
@@ -391,7 +391,7 @@ impl FrameWal {
             .create(true)
             .append(true)
             .open(&path)
-            .and_then(|mut f| writeln!(f, "{line}").and_then(|()| f.flush()));
+            .and_then(|mut f| f.write_all(line.as_bytes()).and_then(|()| f.flush()));
         if let Err(e) = result {
             obs::warn(
                 "rapd.wal",
@@ -712,7 +712,6 @@ mod tests {
             entry("x", 3, None),
         ] {
             forged.push_str(&frame_spool_line(&e.to_json().render()));
-            forged.push('\n');
         }
         fs::write(dir.join("wal/x.jsonl"), forged).unwrap();
         wal.compact("x", 10);
