@@ -30,9 +30,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use obs::recorder::FlightSnapshot;
+
 use crate::json::Json;
+use crate::log::{frame_spool_line, verified_payload};
 use crate::metrics::Metrics;
-use crate::sink::{frame_spool_line, judge_line, LineVerdict};
 
 /// Writes flight-recorder dumps into `<spool_dir>/blackbox/`.
 #[derive(Debug)]
@@ -74,7 +76,8 @@ impl BlackboxWriter {
         self.dir.as_deref()
     }
 
-    /// Freeze every registered flight-recorder ring into one dump file.
+    /// Freeze `rings` — in the daemon, every registered flight-recorder
+    /// ring ([`obs::recorder::snapshot`]) — into one dump file.
     ///
     /// `trigger` must be one of the `rapd_blackbox_dumps_total` labels
     /// (`panic`, `deadline`, `breaker_open`); `frame` is the failing
@@ -83,7 +86,13 @@ impl BlackboxWriter {
     /// Returns the dump path, or `None` when no spool directory is
     /// configured or the write failed — the failure path must never fail
     /// harder because its post-mortem could not be written.
-    pub fn dump(&self, trigger: &str, tenant: &str, frame: Option<&str>) -> Option<PathBuf> {
+    pub fn dump(
+        &self,
+        trigger: &str,
+        tenant: &str,
+        frame: Option<&str>,
+        rings: &[FlightSnapshot],
+    ) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
         let micros = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -91,30 +100,23 @@ impl BlackboxWriter {
             .unwrap_or(0);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("blackbox-{micros}-{seq:04}-{trigger}.jsonl"));
-        let rings = obs::recorder::snapshot();
         let mut out = String::with_capacity(4096);
-        let header = Json::Obj(vec![
-            ("kind".to_string(), Json::str("blackbox")),
-            ("trigger".to_string(), Json::str(trigger)),
-            ("tenant".to_string(), Json::str(tenant)),
-            (
-                "frame".to_string(),
-                match frame {
-                    None => Json::Null,
-                    Some(id) => Json::str(id),
-                },
-            ),
-            ("ts_micros".to_string(), Json::Num(micros as f64)),
-            ("rings".to_string(), Json::Num(rings.len() as f64)),
+        let header = Json::obj([
+            ("kind", Json::str("blackbox")),
+            ("trigger", Json::str(trigger)),
+            ("tenant", Json::str(tenant)),
+            ("frame", frame.map_or(Json::Null, Json::str)),
+            ("ts_micros", Json::Num(micros as f64)),
+            ("rings", Json::Num(rings.len() as f64)),
         ]);
         out.push_str(&frame_spool_line(&header.render()));
-        for ring in &rings {
-            let ring_header = Json::Obj(vec![
-                ("kind".to_string(), Json::str("ring")),
-                ("name".to_string(), Json::str(&ring.name)),
-                ("recorded".to_string(), Json::Num(ring.recorded as f64)),
-                ("dropped".to_string(), Json::Num(ring.dropped as f64)),
-                ("lines".to_string(), Json::Num(ring.lines.len() as f64)),
+        for ring in rings {
+            let ring_header = Json::obj([
+                ("kind", Json::str("ring")),
+                ("name", Json::str(&ring.name)),
+                ("recorded", Json::Num(ring.recorded as f64)),
+                ("dropped", Json::Num(ring.dropped as f64)),
+                ("lines", Json::Num(ring.lines.len() as f64)),
             ]);
             out.push_str(&frame_spool_line(&ring_header.render()));
             for line in &ring.lines {
@@ -134,8 +136,8 @@ impl BlackboxWriter {
                     "rapd.blackbox",
                     "blackbox_dumped",
                     &[
-                        ("trigger", obs::Value::Str(trigger.to_string())),
-                        ("tenant", obs::Value::Str(tenant.to_string())),
+                        ("trigger", trigger.into()),
+                        ("tenant", tenant.into()),
                         ("path", obs::Value::Str(path.display().to_string())),
                         ("rings", obs::Value::from(rings.len() as u64)),
                     ],
@@ -146,10 +148,7 @@ impl BlackboxWriter {
                 obs::warn(
                     "rapd.blackbox",
                     "blackbox_write_failed",
-                    &[
-                        ("trigger", obs::Value::Str(trigger.to_string())),
-                        ("error", obs::Value::Str(e.to_string())),
-                    ],
+                    &[("trigger", trigger.into()), ("error", e.to_string().into())],
                 );
                 None
             }
@@ -195,10 +194,7 @@ pub struct BlackboxRing {
 /// malformed (nothing recoverable at all).
 pub fn read_dump(path: &Path) -> io::Result<BlackboxDump> {
     let data = fs::read_to_string(path)?;
-    let mut payloads = data.lines().filter_map(|line| match judge_line(line) {
-        LineVerdict::Verified => line.rsplit_once('\t').map(|(json, _)| json),
-        _ => None,
-    });
+    let mut payloads = data.lines().filter_map(verified_payload);
     let header_line = payloads
         .next()
         .ok_or_else(|| io::Error::other("blackbox dump has no intact header line"))?;
@@ -304,7 +300,12 @@ mod tests {
                 &[("step", obs::Value::from(1u64))],
             );
             obs::info("bbox", "at_failure", &[("step", obs::Value::from(2u64))]);
-            writer.dump("panic", "edge", Some("edge-00000001-1700"))
+            writer.dump(
+                "panic",
+                "edge",
+                Some("edge-00000001-1700"),
+                &obs::recorder::snapshot(),
+            )
         });
         let path = handle.join().unwrap().expect("dump path");
         assert!(path.starts_with(dir.join("blackbox")));
@@ -333,7 +334,14 @@ mod tests {
             let _rec = obs::recorder::register("torn-worker", 8);
             obs::info("bbox", "kept_line", &[]);
             obs::info("bbox", "torn_line", &[]);
-            writer.dump("deadline", "t", None).expect("dump path")
+            // only this test's ring: a process-global snapshot also holds
+            // other tests' rings, any of which could land last and take
+            // the cut below
+            let own: Vec<FlightSnapshot> = obs::recorder::snapshot()
+                .into_iter()
+                .filter(|r| r.name == "torn-worker")
+                .collect();
+            writer.dump("deadline", "t", None, &own).expect("dump path")
         };
         // tear the final line mid-write, as a crash would
         let text = fs::read_to_string(&path).unwrap();
@@ -357,7 +365,7 @@ mod tests {
         let m = metrics();
         let writer = BlackboxWriter::open(None, Arc::clone(&m)).unwrap();
         assert!(writer.dir().is_none());
-        assert_eq!(writer.dump("panic", "t", None), None);
+        assert_eq!(writer.dump("panic", "t", None, &[]), None);
         assert_eq!(m.blackbox_dumps.total(), 0);
         assert_eq!(
             list_dumps(Path::new("/nonexistent/blackbox-dir")).unwrap(),

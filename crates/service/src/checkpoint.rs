@@ -39,9 +39,8 @@ use pipeline::{
 };
 
 use crate::json::Json;
+use crate::log::{frame_spool_line, sanitize_tenant, verified_payload};
 use crate::metrics::Metrics;
-use crate::quarantine::sanitize_tenant;
-use crate::sink::{frame_spool_line, judge_line, LineVerdict};
 
 /// The checkpoint format version this build writes and accepts.
 const VERSION: u64 = 1;
@@ -105,53 +104,42 @@ pub struct TenantCheckpoint {
 impl TenantCheckpoint {
     /// The JSON form written to disk (inside the CRC framing).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("v".to_string(), Json::Num(VERSION as f64)),
-            ("tenant".to_string(), Json::str(&self.tenant)),
-            ("ts_unix_ms".to_string(), Json::Num(self.ts_unix_ms as f64)),
-            ("wal_ack".to_string(), Json::Num(self.wal_ack as f64)),
-            ("frame_seq".to_string(), Json::Num(self.frame_seq as f64)),
+        Json::obj([
+            ("v", Json::Num(VERSION as f64)),
+            ("tenant", Json::str(&self.tenant)),
+            ("ts_unix_ms", Json::Num(self.ts_unix_ms as f64)),
+            ("wal_ack", Json::Num(self.wal_ack as f64)),
+            ("frame_seq", Json::Num(self.frame_seq as f64)),
             (
-                "reorder_last_emitted".to_string(),
-                match self.reorder_last_emitted {
-                    None => Json::Null,
-                    Some(ts) => Json::Num(ts as f64),
-                },
+                "reorder_last_emitted",
+                self.reorder_last_emitted
+                    .map_or(Json::Null, |ts| Json::Num(ts as f64)),
             ),
+            ("reorder_max_seen", Json::Num(self.reorder_max_seen as f64)),
             (
-                "reorder_max_seen".to_string(),
-                Json::Num(self.reorder_max_seen as f64),
-            ),
-            (
-                "breaker".to_string(),
-                Json::Obj(vec![
-                    (
-                        "failures".to_string(),
-                        Json::Num(f64::from(self.breaker_failures)),
-                    ),
-                    ("state".to_string(), Json::str(&self.breaker_state)),
-                    (
-                        "remaining_ms".to_string(),
-                        Json::Num(self.breaker_remaining_ms as f64),
-                    ),
+                "breaker",
+                Json::obj([
+                    ("failures", Json::Num(f64::from(self.breaker_failures))),
+                    ("state", Json::str(&self.breaker_state)),
+                    ("remaining_ms", Json::Num(self.breaker_remaining_ms as f64)),
                 ]),
             ),
             (
-                "guard".to_string(),
-                Json::Obj(vec![
-                    ("detect".to_string(), Json::Bool(self.guard.detect)),
+                "guard",
+                Json::obj([
+                    ("detect", Json::Bool(self.guard.detect)),
                     (
-                        "seasonal_period".to_string(),
+                        "seasonal_period",
                         Json::Num(self.guard.seasonal_period as f64),
                     ),
                     (
-                        "residual_window".to_string(),
+                        "residual_window",
                         Json::Num(self.guard.residual_window as f64),
                     ),
-                    ("window".to_string(), Json::Num(self.guard.window as f64)),
+                    ("window", Json::Num(self.guard.window as f64)),
                 ]),
             ),
-            ("engine".to_string(), engine_to_json(&self.engine)),
+            ("engine", engine_to_json(&self.engine)),
         ])
     }
 
@@ -205,33 +193,33 @@ fn parse_elements(doc: &Json) -> Option<Vec<ElementId>> {
 
 fn leaf_to_json(leaf: &LeafSnapshot) -> Json {
     let forecaster = match &leaf.forecaster {
-        ForecasterSnapshot::Ewma { level } => Json::Obj(vec![
-            ("kind".to_string(), Json::str("ewma")),
-            ("level".to_string(), level.map_or(Json::Null, Json::Num)),
+        ForecasterSnapshot::Ewma { level } => Json::obj([
+            ("kind", Json::str("ewma")),
+            ("level", level.map_or(Json::Null, Json::Num)),
         ]),
         ForecasterSnapshot::HoltWinters {
             level,
             trend,
             seasonal,
             idx,
-        } => Json::Obj(vec![
-            ("kind".to_string(), Json::str("hw")),
-            ("level".to_string(), level.map_or(Json::Null, Json::Num)),
-            ("trend".to_string(), Json::Num(*trend)),
-            ("seasonal".to_string(), num_arr(seasonal)),
-            ("idx".to_string(), Json::Num(*idx as f64)),
+        } => Json::obj([
+            ("kind", Json::str("hw")),
+            ("level", level.map_or(Json::Null, Json::Num)),
+            ("trend", Json::Num(*trend)),
+            ("seasonal", num_arr(seasonal)),
+            ("idx", Json::Num(*idx as f64)),
         ]),
     };
-    Json::Obj(vec![
-        ("forecaster".to_string(), forecaster),
+    Json::obj([
+        ("forecaster", forecaster),
         (
-            "residuals".to_string(),
-            Json::Obj(vec![
-                ("buf".to_string(), num_arr(&leaf.residuals.buf)),
-                ("sum".to_string(), Json::Num(leaf.residuals.sum)),
-                ("sumsq".to_string(), Json::Num(leaf.residuals.sumsq)),
+            "residuals",
+            Json::obj([
+                ("buf", num_arr(&leaf.residuals.buf)),
+                ("sum", Json::Num(leaf.residuals.sum)),
+                ("sumsq", Json::Num(leaf.residuals.sumsq)),
                 (
-                    "pushes".to_string(),
+                    "pushes",
                     Json::Num(leaf.residuals.pushes_since_rebuild as f64),
                 ),
             ]),
@@ -267,17 +255,14 @@ fn leaf_from_json(doc: &Json) -> Option<LeafSnapshot> {
 
 fn engine_to_json(engine: &EngineCheckpoint) -> Json {
     match engine {
-        EngineCheckpoint::Detecting(snap) => Json::Obj(vec![
-            ("kind".to_string(), Json::str("detecting")),
-            ("steps".to_string(), Json::Num(snap.steps as f64)),
-            ("state".to_string(), Json::str(snap.state.as_str())),
+        EngineCheckpoint::Detecting(snap) => Json::obj([
+            ("kind", Json::str("detecting")),
+            ("steps", Json::Num(snap.steps as f64)),
+            ("state", Json::str(snap.state.as_str())),
+            ("triggered_frames", Json::Num(snap.triggered_frames as f64)),
+            ("total", leaf_to_json(&snap.total)),
             (
-                "triggered_frames".to_string(),
-                Json::Num(snap.triggered_frames as f64),
-            ),
-            ("total".to_string(), leaf_to_json(&snap.total)),
-            (
-                "leaves".to_string(),
+                "leaves",
                 Json::Arr(
                     snap.leaves
                         .iter()
@@ -288,12 +273,12 @@ fn engine_to_json(engine: &EngineCheckpoint) -> Json {
                 ),
             ),
         ]),
-        EngineCheckpoint::Classic(snap) => Json::Obj(vec![
-            ("kind".to_string(), Json::str("classic")),
-            ("steps".to_string(), Json::Num(snap.steps as f64)),
-            ("total_history".to_string(), num_arr(&snap.total_history)),
+        EngineCheckpoint::Classic(snap) => Json::obj([
+            ("kind", Json::str("classic")),
+            ("steps", Json::Num(snap.steps as f64)),
+            ("total_history", num_arr(&snap.total_history)),
             (
-                "history".to_string(),
+                "history",
                 Json::Arr(
                     snap.history
                         .iter()
@@ -404,7 +389,7 @@ impl CheckpointStore {
                     "checkpoint_write_failed",
                     &[
                         ("tenant", obs::Value::Str(checkpoint.tenant.clone())),
-                        ("error", obs::Value::Str(e.to_string())),
+                        ("error", e.to_string().into()),
                     ],
                 );
             }
@@ -413,11 +398,7 @@ impl CheckpointStore {
 
     fn load_file(&self, path: &Path) -> Option<TenantCheckpoint> {
         let data = fs::read_to_string(path).ok()?;
-        let line = data.lines().next()?;
-        if judge_line(line) != LineVerdict::Verified {
-            return None;
-        }
-        let (json, _) = line.rsplit_once('\t')?;
+        let json = verified_payload(data.lines().next()?)?;
         TenantCheckpoint::from_json(&crate::json::parse(json).ok()?)
     }
 

@@ -30,6 +30,11 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Look up a key of an object (`None` for other variants).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

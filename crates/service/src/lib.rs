@@ -77,6 +77,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod http;
 pub mod json;
+pub(crate) mod log;
 pub mod metrics;
 pub mod proto;
 pub(crate) mod quarantine;
@@ -98,6 +99,7 @@ use rapminer::Config as RapMinerConfig;
 pub use blackbox::{read_dump, BlackboxDump, BlackboxRing, BlackboxWriter};
 pub use checkpoint::{ConfigGuard, EngineCheckpoint, TenantCheckpoint};
 pub use config::{ServiceConfig, ServiceConfigError};
+pub use log::SpoolRecovery;
 pub use metrics::Metrics;
 pub use proto::{ProtoError, Request};
 pub use quarantine::QuarantineRecord;
@@ -105,7 +107,7 @@ pub use retry::{with_retry, Backoff};
 pub use router::{start_router, RouterConfig, RouterHandle};
 pub use server::{start, ServerHandle, StartError};
 pub use shard::LocalizerFactory;
-pub use sink::{DetectionRecord, IncidentRecord, IncidentSink, SpoolRecovery};
+pub use sink::{DetectionRecord, IncidentRecord, IncidentSink};
 pub use wal::WalEntry;
 pub use worker::start_worker;
 

@@ -77,11 +77,13 @@ impl Histogram {
         if !seconds.is_finite() || seconds < 0.0 {
             return;
         }
-        if let Some(i) = self.bounds.iter().position(|bound| seconds <= *bound) {
-            self.buckets[i].fetch_add(1, Ordering::Relaxed);
-        }
-        // beyond the last bound: counted only by `count` (the +Inf bucket)
+        // `count` (the +Inf bucket) first, released by the bucket add: a
+        // scrape that sees the bucket sees the count, so +Inf never reads
+        // below the last finite bucket. Beyond the last bound: `count` only.
         self.count.fetch_add(1, Ordering::Relaxed);
+        if let Some(i) = self.bounds.iter().position(|bound| seconds <= *bound) {
+            self.buckets[i].fetch_add(1, Ordering::Release);
+        }
         self.sum_micros
             .fetch_add((seconds * 1e6) as u64, Ordering::Relaxed);
     }
@@ -103,7 +105,7 @@ impl Histogram {
         self.buckets
             .iter()
             .map(|b| {
-                total += b.load(Ordering::Relaxed);
+                total += b.load(Ordering::Acquire);
                 total
             })
             .collect()
@@ -378,7 +380,7 @@ pub struct Metrics {
     pub wal_appends: AtomicU64,
     /// WAL append failures absorbed by degrading to journal-less mode.
     pub wal_append_errors: AtomicU64,
-    /// WAL segment compactions after checkpoint acknowledgment.
+    /// WAL segments deleted after checkpoint acknowledgment.
     pub wal_compactions: AtomicU64,
     /// Frames replayed from the WAL at startup (`rapd_replayed_frames_total`).
     pub wal_replayed_frames: AtomicU64,
@@ -761,7 +763,7 @@ impl Metrics {
         counter(
             &mut out,
             "rapd_wal_compactions_total",
-            "WAL segment compactions after checkpoint acknowledgment.",
+            "WAL segments deleted after checkpoint acknowledgment.",
             self.wal_compactions.load(Ordering::Relaxed),
         );
         counter(

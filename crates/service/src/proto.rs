@@ -231,9 +231,9 @@ impl std::error::Error for ProtoError {}
 impl ProtoError {
     /// The one-line `{"type":"error",...}` reply for this error.
     pub fn to_reply(&self) -> String {
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("error")),
-            ("reason".to_string(), Json::str(self.to_string())),
+        Json::obj([
+            ("type", Json::str("error")),
+            ("reason", Json::str(self.to_string())),
         ])
         .render()
     }
@@ -625,9 +625,9 @@ pub fn read_wire_frame(
 
 /// The router's opening handshake frame.
 pub fn hello_frame() -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("hello")),
-        ("wire".to_string(), Json::Num(WIRE_VERSION as f64)),
+    Json::obj([
+        ("type", Json::str("hello")),
+        ("wire", Json::Num(WIRE_VERSION as f64)),
     ])
     .render()
 }
@@ -636,11 +636,11 @@ pub fn hello_frame() -> String {
 /// highest frame sequence its recovery saw (the router advances its mint
 /// counter past it so new tokens never collide with replayed ones).
 pub fn hello_ack_frame(wire: u64, worker: usize, max_seq: u64) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("hello")),
-        ("wire".to_string(), Json::Num(wire as f64)),
-        ("worker".to_string(), Json::Num(worker as f64)),
-        ("max_seq".to_string(), Json::Num(max_seq as f64)),
+    Json::obj([
+        ("type", Json::str("hello")),
+        ("wire", Json::Num(wire as f64)),
+        ("worker", Json::Num(worker as f64)),
+        ("max_seq", Json::Num(max_seq as f64)),
     ])
     .render()
 }
@@ -653,11 +653,7 @@ pub fn hello_ack_frame(wire: u64, worker: usize, max_seq: u64) -> String {
 /// hello or the version is outside `[WIRE_MIN_VERSION, WIRE_VERSION]`.
 pub fn negotiate_hello(payload: &str) -> Result<u64, String> {
     let error = |reason: String| {
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("error")),
-            ("reason".to_string(), Json::str(reason)),
-        ])
-        .render()
+        Json::obj([("type", Json::str("error")), ("reason", Json::str(reason))]).render()
     };
     let doc = parse(payload).map_err(|e| error(format!("malformed hello: {e}")))?;
     if doc.get("type").and_then(Json::as_str) != Some("hello") {
@@ -689,12 +685,12 @@ pub struct WireEnvelope {
 impl WireEnvelope {
     /// Render the envelope to its wire JSON.
     pub fn render(&self) -> String {
-        let mut pairs = vec![("line".to_string(), Json::str(&self.line))];
+        let mut pairs = vec![("line", Json::str(&self.line))];
         if let Some((token, seq)) = &self.frame {
-            pairs.push(("frame".to_string(), Json::str(token)));
-            pairs.push(("seq".to_string(), Json::Num(*seq as f64)));
+            pairs.push(("frame", Json::str(token)));
+            pairs.push(("seq", Json::Num(*seq as f64)));
         }
-        Json::Obj(pairs).render()
+        Json::obj(pairs).render()
     }
 
     /// Parse one envelope payload.
@@ -1054,13 +1050,10 @@ mod tests {
                 Json::Num(*value),
             ])
         };
-        let line = Json::Obj(vec![
-            ("type".to_string(), Json::str("observe")),
-            ("tenant".to_string(), Json::str("cdn")),
-            (
-                "rows".to_string(),
-                Json::Arr(rows.iter().map(row_json).collect()),
-            ),
+        let line = Json::obj([
+            ("type", Json::str("observe")),
+            ("tenant", Json::str("cdn")),
+            ("rows", Json::Arr(rows.iter().map(row_json).collect())),
         ])
         .render();
         assert!(line.len() >= 400_000, "line is only {} bytes", line.len());

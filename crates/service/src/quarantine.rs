@@ -2,12 +2,12 @@
 //! not lost.
 //!
 //! Frames the admission layer or the watermark reorder buffer refuses are
-//! written as checksummed JSONL to a per-tenant file under
-//! `<spool_dir>/quarantine/` (same `{json}\t{crc32:08x}` framing as the
-//! incident spool) and retained in a bounded in-memory ring that the
-//! `quarantine` control verb serves. Recording is infallible from the
-//! caller's perspective: a write failure latches the sink into ring-only
-//! mode (`rapd_quarantine_degraded` gauge,
+//! written to a per-tenant [`SegmentLog`], `<spool_dir>/quarantine/<stem>.jsonl`
+//! (checksummed lines, rotated to `.jsonl.1` on the size cap, torn tail
+//! repaired when the tenant's log is first opened), and retained in a
+//! bounded in-memory ring that the `quarantine` control verb serves.
+//! Recording is infallible from the caller's perspective: a write failure
+//! latches the sink into ring-only mode (`rapd_quarantine_degraded` gauge,
 //! `rapd_quarantine_write_errors_total` counter) instead of failing the
 //! ingest path.
 //!
@@ -16,17 +16,19 @@
 //! element ids, so the record preserves provenance (tenant, timestamp,
 //! reason) rather than payload.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
+use crate::log::{sanitize_tenant, SegmentLog, Store};
 use crate::metrics::Metrics;
-use crate::sink::frame_spool_line;
 use crate::sync::lock_recover;
+use crate::wal::rows_to_json;
 
 /// One quarantined frame, as served by the `quarantine` control verb and
 /// spooled to disk.
@@ -55,71 +57,18 @@ impl QuarantineRecord {
     /// The JSON form shared by spool lines and control-socket replies.
     /// NaN row values render as JSON `null`, mirroring the wire encoding.
     pub fn to_json(&self) -> Json {
-        let rows = self
-            .rows
-            .iter()
-            .map(|(names, value)| {
-                Json::Arr(vec![
-                    Json::Arr(names.iter().map(Json::str).collect()),
-                    Json::Num(*value),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("tenant".to_string(), Json::str(&self.tenant)),
+        Json::obj([
+            ("tenant", Json::str(&self.tenant)),
             (
-                "frame".to_string(),
-                match &self.frame_id {
-                    None => Json::Null,
-                    Some(id) => Json::str(id),
-                },
+                "frame",
+                self.frame_id.as_deref().map_or(Json::Null, Json::str),
             ),
-            (
-                "ts".to_string(),
-                match self.ts {
-                    None => Json::Null,
-                    Some(t) => Json::Num(t as f64),
-                },
-            ),
-            ("reason".to_string(), Json::str(self.reason)),
-            ("detail".to_string(), Json::str(&self.detail)),
-            ("rows".to_string(), Json::Arr(rows)),
+            ("ts", self.ts.map_or(Json::Null, |t| Json::Num(t as f64))),
+            ("reason", Json::str(self.reason)),
+            ("detail", Json::str(&self.detail)),
+            ("rows", rows_to_json(&self.rows)),
         ])
     }
-}
-
-/// Map a tenant id onto a safe, collision-free file stem: anything
-/// outside `[A-Za-z0-9_-]` becomes `_`, so a hostile tenant string
-/// cannot escape the quarantine directory, and any name that needed
-/// replacement carries a CRC32 suffix of its raw bytes so two distinct
-/// tenants (`a.b`, `a:b`) can never collapse onto one stem — the WAL
-/// and checkpoint store key files by stem, so a shared stem would
-/// cross-corrupt their journals and snapshots. Already-safe names keep
-/// their exact stem (and their existing on-disk files); sanitizing is
-/// idempotent either way, since a hashed stem is itself all safe
-/// characters.
-pub(crate) fn sanitize_tenant(tenant: &str) -> String {
-    let mut lossy = tenant.is_empty();
-    let stem: String = tenant
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                lossy = true;
-                '_'
-            }
-        })
-        .collect();
-    if !lossy {
-        return stem;
-    }
-    let stem = if stem.is_empty() {
-        "_".to_string()
-    } else {
-        stem
-    };
-    format!("{stem}-{:08x}", crate::sink::crc32(tenant.as_bytes()))
 }
 
 /// Where refused frames go: per-tenant checksummed JSONL spools plus a
@@ -128,9 +77,9 @@ pub(crate) fn sanitize_tenant(tenant: &str) -> String {
 pub(crate) struct QuarantineSink {
     /// `<spool_dir>/quarantine`; `None` keeps records ring-only.
     dir: Option<PathBuf>,
-    /// Lazily opened per-tenant append handles with their current byte
-    /// counts, keyed by sanitized stem.
-    files: Mutex<HashMap<String, (File, u64)>>,
+    /// Per-tenant logs, opened (repairing any torn tail) on first use,
+    /// keyed by sanitized stem.
+    logs: Mutex<HashMap<String, SegmentLog>>,
     ring: Mutex<VecDeque<QuarantineRecord>>,
     ring_capacity: usize,
     /// Rotate a tenant's spool when it exceeds this many bytes (current
@@ -138,8 +87,6 @@ pub(crate) struct QuarantineSink {
     /// disables rotation.
     max_bytes: u64,
     metrics: Arc<Metrics>,
-    /// Latched on the first write error; the sink then serves ring-only.
-    degraded: AtomicBool,
 }
 
 impl QuarantineSink {
@@ -165,18 +112,17 @@ impl QuarantineSink {
         };
         Ok(QuarantineSink {
             dir,
-            files: Mutex::new(HashMap::new()),
+            logs: Mutex::new(HashMap::new()),
             ring: Mutex::new(VecDeque::new()),
             ring_capacity: ring_capacity.max(1),
             max_bytes,
             metrics,
-            degraded: AtomicBool::new(false),
         })
     }
 
     /// Whether a write error has degraded the sink to ring-only.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
+        Store::Quarantine.is_degraded(&self.metrics)
     }
 
     /// Record one refused frame: bump the reason's
@@ -194,11 +140,11 @@ impl QuarantineSink {
             "frame_quarantined",
             &[
                 ("tenant", obs::Value::Str(record.tenant.clone())),
-                ("reason", obs::Value::Str(record.reason.to_string())),
+                ("reason", record.reason.into()),
                 ("detail", obs::Value::Str(record.detail.clone())),
             ],
         );
-        let line = frame_spool_line(&record.to_json().render());
+        let json = record.to_json().render();
         let stem = sanitize_tenant(&record.tenant);
         {
             let mut ring = lock_recover(&self.ring);
@@ -208,61 +154,28 @@ impl QuarantineSink {
             ring.push_back(record);
         }
         let Some(dir) = &self.dir else { return };
-        if self.degraded.load(Ordering::Relaxed) {
+        if self.is_degraded() {
             return;
         }
-        let result = (|| {
-            let mut files = lock_recover(&self.files);
-            let path = dir.join(format!("{stem}.jsonl"));
-            let (file, bytes) = match files.entry(stem) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                    let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-                    e.insert((file, len))
+        let mut logs = lock_recover(&self.logs);
+        let log = match logs.entry(stem) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let path = dir.join(format!("{}.jsonl", e.key()));
+                let metrics = Arc::clone(&self.metrics);
+                match SegmentLog::open(
+                    path.clone(),
+                    self.max_bytes,
+                    false,
+                    Store::Quarantine,
+                    metrics,
+                ) {
+                    Ok((log, _)) => e.insert(log),
+                    Err(err) => return Store::Quarantine.trip(&self.metrics, &path, &err),
                 }
-            };
-            if obs::fail::should_error("quarantine-write-error") {
-                return Err(io::Error::other("injected quarantine write error"));
             }
-            file.write_all(line.as_bytes())
-                .and_then(|()| file.flush())?;
-            *bytes += line.len() as u64;
-            if self.max_bytes > 0 && *bytes > self.max_bytes {
-                // rotate this tenant's segment: current → `.jsonl.1`
-                // (evicting the previous one), fresh file for appends
-                let old = path.with_extension("jsonl.1");
-                match fs::remove_file(&old) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
-                fs::rename(&path, &old)?;
-                *file = OpenOptions::new().create(true).append(true).open(&path)?;
-                *bytes = 0;
-                self.metrics
-                    .spool_rotations
-                    .quarantine
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            self.metrics
-                .quarantine_write_errors
-                .fetch_add(1, Ordering::Relaxed);
-            if !self.degraded.swap(true, Ordering::Relaxed) {
-                self.metrics.quarantine_degraded.store(1, Ordering::Relaxed);
-                obs::warn(
-                    "rapd.quarantine",
-                    "quarantine_degraded",
-                    &[
-                        ("error", obs::Value::Str(e.to_string())),
-                        ("dir", obs::Value::Str(dir.display().to_string())),
-                    ],
-                );
-            }
-        }
+        };
+        log.append(&json);
     }
 
     /// The most recent records, newest first, at most `limit`.
@@ -270,18 +183,19 @@ impl QuarantineSink {
         let ring = lock_recover(&self.ring);
         ring.iter().rev().take(limit).cloned().collect()
     }
-
-    /// Records currently held in the ring.
-    #[cfg(test)]
-    pub fn ring_len(&self) -> usize {
-        lock_recover(&self.ring).len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{judge_line, LineVerdict};
+
+    impl QuarantineSink {
+        /// Records currently held in the ring.
+        fn ring_len(&self) -> usize {
+            lock_recover(&self.ring).len()
+        }
+    }
+    use crate::log::{judge_line, LineVerdict};
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
@@ -351,12 +265,6 @@ mod tests {
 
     #[test]
     fn hostile_tenant_names_cannot_escape_the_directory() {
-        assert_eq!(
-            sanitize_tenant("../../etc/passwd"),
-            "______etc_passwd-df406b03"
-        );
-        assert_eq!(sanitize_tenant("ok-Tenant_9"), "ok-Tenant_9");
-        assert_eq!(sanitize_tenant(""), "_-00000000");
         let dir = scratch("hostile");
         let sink = QuarantineSink::open(Some(&dir), 8, 0, metrics()).unwrap();
         sink.record(record("../escape", "late", None));
@@ -366,19 +274,22 @@ mod tests {
     }
 
     #[test]
-    fn distinct_lossy_tenant_names_get_distinct_stems() {
-        // Without the hash suffix both would collapse to "a_b" — one WAL
-        // segment and one checkpoint path shared by two tenants.
-        let a = sanitize_tenant("a.b");
-        let b = sanitize_tenant("a:b");
-        assert_ne!(a, b);
-        assert!(a.starts_with("a_b-") && b.starts_with("a_b-"));
-        // a lossy stem never shadows the identical already-safe name
-        assert_ne!(a, sanitize_tenant("a_b"));
-        // idempotent: feeding a stem back through is the identity
-        for stem in [a, b, sanitize_tenant(""), sanitize_tenant("safe")] {
-            assert_eq!(sanitize_tenant(&stem), stem);
+    fn torn_tail_from_a_crash_is_repaired_before_the_next_record() {
+        let dir = scratch("torn");
+        fs::create_dir_all(dir.join("quarantine")).unwrap();
+        let path = dir.join("quarantine/t.jsonl");
+        // a crash mid-write left half a line, no newline
+        fs::write(&path, r#"{"tenant":"t","frame":null,"ts":1,"rea"#).unwrap();
+        let sink = QuarantineSink::open(Some(&dir), 8, 0, metrics()).unwrap();
+        sink.record(record("t", "non_finite", Some(2)));
+        sink.record(record("t", "late", Some(3)));
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 2, "{text}");
+        for line in text.lines() {
+            assert_eq!(judge_line(line), LineVerdict::Verified, "{line}");
         }
+        assert!(!sink.is_degraded());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

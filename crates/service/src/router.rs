@@ -55,7 +55,7 @@ use crate::proto::{
     WIRE_VERSION,
 };
 use crate::retry::Backoff;
-use crate::server::{configure_stream, read_line_limited, DrainGate, LineRead};
+use crate::server::{configure_stream, load, read_line_limited, DrainGate, LineRead};
 use crate::supervisor::{Supervisor, WorkerCommand};
 use crate::sync::lock_recover;
 use crate::wal;
@@ -408,32 +408,29 @@ impl Router {
         if parked.len() >= self.config.park_capacity {
             self.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
             let mut pairs = vec![
-                ("type".to_string(), Json::str("error")),
+                ("type", Json::str("error")),
                 (
-                    "reason".to_string(),
+                    "reason",
                     Json::str(format!(
                         "worker {worker} unavailable and its {}-frame park buffer is full; frame shed",
                         self.config.park_capacity
                     )),
                 ),
-                ("shed".to_string(), Json::Bool(true)),
+                ("shed", Json::Bool(true)),
             ];
             if let Some((token, _)) = &frame {
-                pairs.push(("frame".to_string(), Json::str(token)));
+                pairs.push(("frame", Json::str(token)));
             }
-            return Json::Obj(pairs).render();
+            return Json::obj(pairs).render();
         }
         let reply = match &frame {
-            Some((token, _)) => Json::Obj(vec![
-                ("type".to_string(), Json::str("ok")),
-                ("queued".to_string(), Json::Bool(true)),
-                ("frame".to_string(), Json::str(token)),
-                ("parked".to_string(), Json::Bool(true)),
+            Some((token, _)) => Json::obj([
+                ("type", Json::str("ok")),
+                ("queued", Json::Bool(true)),
+                ("frame", Json::str(token)),
+                ("parked", Json::Bool(true)),
             ]),
-            None => Json::Obj(vec![
-                ("type".to_string(), Json::str("ok")),
-                ("parked".to_string(), Json::Bool(true)),
-            ]),
+            None => Json::obj([("type", Json::str("ok")), ("parked", Json::Bool(true))]),
         }
         .render();
         parked.push_back(ParkedFrame { line, frame });
@@ -703,10 +700,10 @@ fn dispatch_router(line: &str, router: &Router) -> String {
             let results = router.fan(r#"{"type":"checkpoint"}"#, deadline);
             match results.iter().find_map(|r| r.as_ref().err()) {
                 Some(e) => error_reply(&format!("checkpoint failed: {e}")),
-                None => Json::Obj(vec![
-                    ("type".to_string(), Json::str("ok")),
-                    ("checkpointed".to_string(), Json::Bool(true)),
-                    ("workers".to_string(), Json::Num(results.len() as f64)),
+                None => Json::obj([
+                    ("type", Json::str("ok")),
+                    ("checkpointed", Json::Bool(true)),
+                    ("workers", Json::Num(results.len() as f64)),
                 ])
                 .render(),
             }
@@ -716,11 +713,7 @@ fn dispatch_router(line: &str, router: &Router) -> String {
 }
 
 fn error_reply(reason: &str) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("error")),
-        ("reason".to_string(), Json::str(reason)),
-    ])
-    .render()
+    Json::obj([("type", Json::str("error")), ("reason", Json::str(reason))]).render()
 }
 
 // ---------------------------------------------------------------------
@@ -746,68 +739,63 @@ fn flush_fleet(router: &Router, deadline: Duration) -> String {
     let results = router.fan(r#"{"type":"flush"}"#, deadline);
     match results.iter().find_map(|r| r.as_ref().err()) {
         Some(e) => error_reply(&format!("flush failed: {e}")),
-        None => Json::Obj(vec![
-            ("type".to_string(), Json::str("ok")),
-            ("flushed".to_string(), Json::Bool(true)),
-            ("workers".to_string(), Json::Num(results.len() as f64)),
+        None => Json::obj([
+            ("type", Json::str("ok")),
+            ("flushed", Json::Bool(true)),
+            ("workers", Json::Num(results.len() as f64)),
         ])
         .render(),
     }
 }
 
 /// Per-worker liveness fields shared by the merged control replies.
-fn worker_entry(router: &Router, worker: usize) -> Vec<(String, Json)> {
+fn worker_entry(router: &Router, worker: usize) -> Vec<(&'static str, Json)> {
     let snap = router.supervisor.snapshot(worker);
     vec![
-        ("worker".to_string(), Json::Num(worker as f64)),
-        ("up".to_string(), Json::Bool(snap.up)),
+        ("worker", Json::Num(worker as f64)),
+        ("up", Json::Bool(snap.up)),
         (
-            "pid".to_string(),
+            "pid",
             snap.pid.map_or(Json::Null, |p| Json::Num(f64::from(p))),
         ),
-        ("respawns".to_string(), Json::Num(snap.respawns as f64)),
-        (
-            "parked".to_string(),
-            Json::Num(router.parked_len(worker) as f64),
-        ),
+        ("respawns", Json::Num(snap.respawns as f64)),
+        ("parked", Json::Num(router.parked_len(worker) as f64)),
     ]
+}
+
+/// Each worker's liveness entry with its reply — or the error it failed
+/// with — under `key`.
+fn worker_replies(router: &Router, results: Vec<RequestResult<Json>>, key: &'static str) -> Json {
+    let reply = |result: RequestResult<Json>| {
+        result.unwrap_or_else(|e| parse(&error_reply(&e)).unwrap_or(Json::Null))
+    };
+    let entry = |(worker, result)| {
+        let mut pairs = worker_entry(router, worker);
+        pairs.push((key, reply(result)));
+        Json::obj(pairs)
+    };
+    Json::Arr(results.into_iter().enumerate().map(entry).collect())
 }
 
 fn stats_fleet(router: &Router, deadline: Duration) -> String {
     let results = router.fan(r#"{"type":"stats"}"#, deadline);
-    let workers: Vec<Json> = results
-        .into_iter()
-        .enumerate()
-        .map(|(worker, result)| {
-            let mut pairs = worker_entry(router, worker);
-            pairs.push((
-                "stats".to_string(),
-                match result {
-                    Ok(json) => json,
-                    Err(e) => parse(&error_reply(&e)).unwrap_or(Json::Null),
-                },
-            ));
-            Json::Obj(pairs)
-        })
-        .collect();
     let m = &router.metrics;
-    let load = |a: &std::sync::atomic::AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("stats")),
-        ("role".to_string(), Json::str("router")),
+    Json::obj([
+        ("type", Json::str("stats")),
+        ("role", Json::str("router")),
         (
-            "router".to_string(),
-            Json::Obj(vec![
-                ("frames_forwarded".to_string(), load(&m.frames_forwarded)),
-                ("parked".to_string(), load(&m.parked_frames)),
-                ("parked_total".to_string(), load(&m.parked_total)),
-                ("shed".to_string(), load(&m.shed_total)),
-                ("handoffs".to_string(), load(&m.handoffs)),
-                ("handoff_replayed".to_string(), load(&m.handoff_replayed)),
-                ("protocol_errors".to_string(), load(&m.protocol_errors)),
+            "router",
+            Json::obj([
+                ("frames_forwarded", load(&m.frames_forwarded)),
+                ("parked", load(&m.parked_frames)),
+                ("parked_total", load(&m.parked_total)),
+                ("shed", load(&m.shed_total)),
+                ("handoffs", load(&m.handoffs)),
+                ("handoff_replayed", load(&m.handoff_replayed)),
+                ("protocol_errors", load(&m.protocol_errors)),
             ]),
         ),
-        ("workers".to_string(), Json::Arr(workers)),
+        ("workers", worker_replies(router, results, "stats")),
     ])
     .render()
 }
@@ -838,24 +826,24 @@ fn health_fleet(router: &Router, deadline: Duration) -> String {
                 }
             };
             let mut pairs = worker_entry(router, worker);
-            pairs.push(("health".to_string(), health));
-            Json::Obj(pairs)
+            pairs.push(("health", health));
+            Json::obj(pairs)
         })
         .collect();
     let shed = router.metrics.shed_total.load(Ordering::Relaxed);
     if shed > 0 {
         degraded = true;
     }
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("health")),
-        ("role".to_string(), Json::str("router")),
+    Json::obj([
+        ("type", Json::str("health")),
+        ("role", Json::str("router")),
         (
-            "status".to_string(),
+            "status",
             Json::str(if degraded { "degraded" } else { "ok" }),
         ),
-        ("workers_down".to_string(), Json::Arr(workers_down)),
-        ("shed".to_string(), Json::Num(shed as f64)),
-        ("workers".to_string(), Json::Arr(workers)),
+        ("workers_down", Json::Arr(workers_down)),
+        ("shed", Json::Num(shed as f64)),
+        ("workers", Json::Arr(workers)),
     ])
     .render()
 }
@@ -869,9 +857,9 @@ fn incidents_fleet(router: &Router, line: &str, limit: usize, deadline: Duration
         }
     }
     incidents.truncate(limit);
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("incidents")),
-        ("incidents".to_string(), Json::Arr(incidents)),
+    Json::obj([
+        ("type", Json::str("incidents")),
+        ("incidents", Json::Arr(incidents)),
     ])
     .render()
 }
@@ -881,25 +869,10 @@ fn incidents_fleet(router: &Router, line: &str, limit: usize, deadline: Duration
 /// own reply under its liveness entry.
 fn wrap_fleet(router: &Router, line: &str, verb: &str, deadline: Duration) -> String {
     let results = router.fan(line, deadline);
-    let workers: Vec<Json> = results
-        .into_iter()
-        .enumerate()
-        .map(|(worker, result)| {
-            let mut pairs = worker_entry(router, worker);
-            pairs.push((
-                "reply".to_string(),
-                match result {
-                    Ok(json) => json,
-                    Err(e) => parse(&error_reply(&e)).unwrap_or(Json::Null),
-                },
-            ));
-            Json::Obj(pairs)
-        })
-        .collect();
-    Json::Obj(vec![
-        ("type".to_string(), Json::str(verb)),
-        ("role".to_string(), Json::str("router")),
-        ("workers".to_string(), Json::Arr(workers)),
+    Json::obj([
+        ("type", Json::str(verb)),
+        ("role", Json::str("router")),
+        ("workers", worker_replies(router, results, "reply")),
     ])
     .render()
 }
@@ -958,10 +931,10 @@ fn shutdown_fleet(router: &Router) -> String {
         );
     }
     router.drain.signal(clean);
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("ok")),
-        ("draining".to_string(), Json::Bool(true)),
-        ("workers".to_string(), Json::Num(router.links.len() as f64)),
+    Json::obj([
+        ("type", Json::str("ok")),
+        ("draining", Json::Bool(true)),
+        ("workers", Json::Num(router.links.len() as f64)),
     ])
     .render()
 }
@@ -1005,13 +978,13 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
         ));
     }
     if source == target {
-        return Json::Obj(vec![
-            ("type".to_string(), Json::str("ok")),
-            ("handoff".to_string(), Json::str(tenant)),
-            ("from".to_string(), Json::Num(source as f64)),
-            ("to".to_string(), Json::Num(target as f64)),
-            ("replayed".to_string(), Json::Num(0.0)),
-            ("noop".to_string(), Json::Bool(true)),
+        return Json::obj([
+            ("type", Json::str("ok")),
+            ("handoff", Json::str(tenant)),
+            ("from", Json::Num(source as f64)),
+            ("to", Json::Num(target as f64)),
+            ("replayed", Json::Num(0.0)),
+            ("noop", Json::Bool(true)),
         ])
         .render();
     }
@@ -1030,13 +1003,8 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
         let payload = WireEnvelope { line, frame: None }.render();
         router.request_worker(worker, &payload, deadline)
     };
-    let adopt_line = |t: &str| {
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("adopt")),
-            ("tenant".to_string(), Json::str(t)),
-        ])
-        .render()
-    };
+    let adopt_line =
+        |t: &str| Json::obj([("type", Json::str("adopt")), ("tenant", Json::str(t))]).render();
     let result = (|| -> RequestResult<usize> {
         call(source, r#"{"type":"flush"}"#.to_string())
             .map_err(|e| format!("source flush: {e}"))?;
@@ -1097,12 +1065,12 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
                     ("replayed", obs::Value::U64(replayed as u64)),
                 ],
             );
-            Json::Obj(vec![
-                ("type".to_string(), Json::str("ok")),
-                ("handoff".to_string(), Json::str(tenant)),
-                ("from".to_string(), Json::Num(source as f64)),
-                ("to".to_string(), Json::Num(target as f64)),
-                ("replayed".to_string(), Json::Num(replayed as f64)),
+            Json::obj([
+                ("type", Json::str("ok")),
+                ("handoff", Json::str(tenant)),
+                ("from", Json::Num(source as f64)),
+                ("to", Json::Num(target as f64)),
+                ("replayed", Json::Num(replayed as f64)),
             ])
             .render()
         }
@@ -1112,23 +1080,10 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
 
 /// Rebuild a `schema` request line from journaled schema parts.
 fn render_schema(tenant: &str, parts: &wal::SchemaParts) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("schema")),
-        ("tenant".to_string(), Json::str(tenant)),
-        (
-            "attributes".to_string(),
-            Json::Arr(
-                parts
-                    .iter()
-                    .map(|(name, elements)| {
-                        Json::Arr(vec![
-                            Json::str(name),
-                            Json::Arr(elements.iter().map(Json::str).collect()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+    Json::obj([
+        ("type", Json::str("schema")),
+        ("tenant", Json::str(tenant)),
+        ("attributes", wal::parts_to_json(parts)),
     ])
     .render()
 }
@@ -1136,28 +1091,14 @@ fn render_schema(tenant: &str, parts: &wal::SchemaParts) -> String {
 /// Rebuild an `observe` request line from a journaled frame.
 fn render_observe(entry: &wal::WalEntry) -> String {
     let mut pairs = vec![
-        ("type".to_string(), Json::str("observe")),
-        ("tenant".to_string(), Json::str(&entry.tenant)),
-        (
-            "rows".to_string(),
-            Json::Arr(
-                entry
-                    .rows
-                    .iter()
-                    .map(|(elements, value)| {
-                        Json::Arr(vec![
-                            Json::Arr(elements.iter().map(Json::str).collect()),
-                            Json::Num(*value),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("type", Json::str("observe")),
+        ("tenant", Json::str(&entry.tenant)),
+        ("rows", wal::rows_to_json(&entry.rows)),
     ];
     if let Some(ts) = entry.ts {
-        pairs.push(("ts".to_string(), Json::Num(ts as f64)));
+        pairs.push(("ts", Json::Num(ts as f64)));
     }
-    Json::Obj(pairs).render()
+    Json::obj(pairs).render()
 }
 
 #[cfg(test)]

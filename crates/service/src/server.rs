@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -412,6 +412,12 @@ fn recover_state(
         }
     }
     let entries = wal.recover();
+    // Entries a checkpoint already covers can share a segment with newer
+    // ones; re-applying each ack settles the depth gauge and deletes the
+    // fully covered segments now rather than at the first checkpoint.
+    for (tenant, ack) in &acks {
+        wal.compact(tenant, *ack);
+    }
     for entry in &entries {
         max_seq = max_seq.max(entry.seq);
         let seen = admitted.entry(entry.tenant.clone()).or_insert(0);
@@ -614,7 +620,7 @@ fn observe_pairs(
     ts: Option<u64>,
     shared: &Shared,
     adopt: Option<&(String, u64)>,
-) -> Result<Vec<(String, Json)>, ProtoError> {
+) -> Result<Vec<(&'static str, Json)>, ProtoError> {
     let schema = {
         let schemas = lock_recover(&shared.schemas);
         schemas
@@ -633,9 +639,9 @@ fn observe_pairs(
         let admitted = lock_recover(&shared.admitted);
         if admitted.get(&tenant).copied().unwrap_or(0) >= *seq {
             return Ok(vec![
-                ("queued".to_string(), Json::Bool(true)),
-                ("frame".to_string(), Json::str(token)),
-                ("duplicate".to_string(), Json::Bool(true)),
+                ("queued", Json::Bool(true)),
+                ("frame", Json::str(token)),
+                ("duplicate", Json::Bool(true)),
             ]);
         }
     }
@@ -673,11 +679,11 @@ fn observe_pairs(
                 rows,
             });
             Ok(vec![
-                ("queued".to_string(), Json::Bool(false)),
-                ("frame".to_string(), Json::str(id.as_str())),
-                ("quarantined".to_string(), Json::Bool(true)),
-                ("reason".to_string(), Json::str(reason)),
-                ("detail".to_string(), Json::str(detail)),
+                ("queued", Json::Bool(false)),
+                ("frame", Json::str(id.as_str())),
+                ("quarantined", Json::Bool(true)),
+                ("reason", Json::str(reason)),
+                ("detail", Json::str(detail)),
             ])
         }
         Verdict::Admit(admitted) => {
@@ -706,9 +712,9 @@ fn observe_pairs(
             }
             shared.pool.ingest(id, &tenant, frame, ts);
             Ok(vec![
-                ("queued".to_string(), Json::Bool(true)),
-                ("frame".to_string(), Json::str(token)),
-                ("repaired".to_string(), Json::Bool(repaired)),
+                ("queued", Json::Bool(true)),
+                ("frame", Json::str(token)),
+                ("repaired", Json::Bool(repaired)),
             ])
         }
     }
@@ -743,7 +749,7 @@ pub(crate) fn dispatch(
                     schemas.insert(tenant.clone(), schema);
                 }
             }
-            Ok(ok_reply(vec![("tenant".to_string(), Json::str(tenant))]))
+            Ok(ok_reply(vec![("tenant", Json::str(tenant))]))
         }
         Request::Observe { tenant, rows, ts } => {
             // Stamp the reply with how long the ingest hot path held the
@@ -755,12 +761,12 @@ pub(crate) fn dispatch(
             let mut pairs = observe_pairs(tenant, rows, ts, shared, adopt)?;
             let ack_seconds = ack_started.elapsed().as_secs_f64();
             shared.metrics.ingest_ack.observe(ack_seconds);
-            pairs.push(("ack_us".to_string(), Json::Num((ack_seconds * 1e6).round())));
+            pairs.push(("ack_us", Json::Num((ack_seconds * 1e6).round())));
             Ok(ok_reply(pairs))
         }
         Request::Flush => {
             let flushed = shared.pool.flush(FLUSH_TIMEOUT);
-            Ok(ok_reply(vec![("flushed".to_string(), Json::Bool(flushed))]))
+            Ok(ok_reply(vec![("flushed", Json::Bool(flushed))]))
         }
         Request::Stats => Ok(stats_reply(shared)),
         Request::Incidents { limit } => {
@@ -770,19 +776,15 @@ pub(crate) fn dispatch(
                 .iter()
                 .map(|r| r.to_json())
                 .collect();
-            Ok(Json::Obj(vec![
-                ("type".to_string(), Json::str("incidents")),
-                ("incidents".to_string(), Json::Arr(incidents)),
+            Ok(Json::obj([
+                ("type", Json::str("incidents")),
+                ("incidents", Json::Arr(incidents)),
             ])
             .render())
         }
         Request::Trace { limit } => {
             let spans = obs::recent_spans(limit).iter().map(span_to_json).collect();
-            Ok(Json::Obj(vec![
-                ("type".to_string(), Json::str("trace")),
-                ("spans".to_string(), Json::Arr(spans)),
-            ])
-            .render())
+            Ok(Json::obj([("type", Json::str("trace")), ("spans", Json::Arr(spans))]).render())
         }
         Request::Quarantine { limit } => {
             let records = shared
@@ -791,9 +793,9 @@ pub(crate) fn dispatch(
                 .iter()
                 .map(QuarantineRecord::to_json)
                 .collect();
-            Ok(Json::Obj(vec![
-                ("type".to_string(), Json::str("quarantine")),
-                ("records".to_string(), Json::Arr(records)),
+            Ok(Json::obj([
+                ("type", Json::str("quarantine")),
+                ("records", Json::Arr(records)),
             ])
             .render())
         }
@@ -824,29 +826,26 @@ pub(crate) fn dispatch(
             let checkpointed = shared.pool.checkpoint_all(deadline);
             shared.drain.signal(flushed && checkpointed);
             Ok(ok_reply(vec![
-                ("draining".to_string(), Json::Bool(true)),
-                ("flushed".to_string(), Json::Bool(flushed)),
-                ("checkpointed".to_string(), Json::Bool(checkpointed)),
+                ("draining", Json::Bool(true)),
+                ("flushed", Json::Bool(flushed)),
+                ("checkpointed", Json::Bool(checkpointed)),
             ]))
         }
         Request::Checkpoint => {
             let checkpointed = shared.pool.checkpoint_all(FLUSH_TIMEOUT);
-            Ok(ok_reply(vec![(
-                "checkpointed".to_string(),
-                Json::Bool(checkpointed),
-            )]))
+            Ok(ok_reply(vec![("checkpointed", Json::Bool(checkpointed))]))
         }
         Request::Adopt { tenant } => {
             let adopted = shared.pool.adopt(&tenant, FLUSH_TIMEOUT);
             Ok(ok_reply(vec![
-                ("tenant".to_string(), Json::str(tenant)),
-                ("adopted".to_string(), Json::Bool(adopted)),
+                ("tenant", Json::str(tenant)),
+                ("adopted", Json::Bool(adopted)),
             ]))
         }
-        Request::Handoff { .. } => Ok(Json::Obj(vec![
-            ("type".to_string(), Json::str("error")),
+        Request::Handoff { .. } => Ok(Json::obj([
+            ("type", Json::str("error")),
             (
-                "reason".to_string(),
+                "reason",
                 Json::str("handoff requires a worker fleet (serve --workers N)"),
             ),
         ])
@@ -887,115 +886,83 @@ fn debug_reply(shared: &Shared, tenant: Option<&str>) -> String {
     let recorders: Vec<Json> = obs::recorder::stats()
         .into_iter()
         .map(|(name, lines, recorded, dropped)| {
-            Json::Obj(vec![
-                ("name".to_string(), Json::str(name)),
-                ("lines".to_string(), Json::Num(lines as f64)),
-                ("recorded".to_string(), Json::Num(recorded as f64)),
-                ("dropped".to_string(), Json::Num(dropped as f64)),
+            Json::obj([
+                ("name", Json::str(name)),
+                ("lines", Json::Num(lines as f64)),
+                ("recorded", Json::Num(recorded as f64)),
+                ("dropped", Json::Num(dropped as f64)),
             ])
         })
         .collect();
     let memo = rapminer::memo_stats();
     let pool = par::pool_stats();
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("debug")),
+    Json::obj([
+        ("type", Json::str("debug")),
         (
-            "uptime_seconds".to_string(),
+            "uptime_seconds",
             Json::Num(shared.started.elapsed().as_secs_f64()),
         ),
-        ("version".to_string(), Json::str(build_version())),
-        ("queue_depths".to_string(), Json::Arr(depths)),
-        ("tenants".to_string(), Json::Arr(tenants)),
-        ("flight_recorders".to_string(), Json::Arr(recorders)),
+        ("version", Json::str(build_version())),
+        ("queue_depths", Json::Arr(depths)),
+        ("tenants", Json::Arr(tenants)),
+        ("flight_recorders", Json::Arr(recorders)),
         (
-            "memo".to_string(),
-            Json::Obj(vec![
-                ("served".to_string(), Json::Num(memo.served as f64)),
-                ("scratch".to_string(), Json::Num(memo.scratch as f64)),
-                ("hit_rate".to_string(), Json::Num(memo.hit_rate())),
+            "memo",
+            Json::obj([
+                ("served", Json::Num(memo.served as f64)),
+                ("scratch", Json::Num(memo.scratch as f64)),
+                ("hit_rate", Json::Num(memo.hit_rate())),
             ]),
         ),
         (
-            "pool".to_string(),
-            Json::Obj(vec![
-                ("maps".to_string(), Json::Num(pool.maps as f64)),
-                (
-                    "parallel_maps".to_string(),
-                    Json::Num(pool.parallel_maps as f64),
-                ),
-                ("items".to_string(), Json::Num(pool.items as f64)),
-                ("steals".to_string(), Json::Num(pool.steals as f64)),
-                (
-                    "parallel_fraction".to_string(),
-                    Json::Num(pool.parallel_fraction()),
-                ),
+            "pool",
+            Json::obj([
+                ("maps", Json::Num(pool.maps as f64)),
+                ("parallel_maps", Json::Num(pool.parallel_maps as f64)),
+                ("items", Json::Num(pool.items as f64)),
+                ("steals", Json::Num(pool.steals as f64)),
+                ("parallel_fraction", Json::Num(pool.parallel_fraction())),
             ]),
         ),
         (
-            "e2e".to_string(),
-            Json::Obj(vec![
-                ("count".to_string(), Json::Num(m.e2e.count() as f64)),
-                ("sum_seconds".to_string(), Json::Num(m.e2e.sum_seconds())),
+            "e2e",
+            Json::obj([
+                ("count", Json::Num(m.e2e.count() as f64)),
+                ("sum_seconds", Json::Num(m.e2e.sum_seconds())),
             ]),
         ),
         (
-            "blackbox_dumps".to_string(),
-            Json::Obj(
-                m.blackbox_dumps
-                    .named()
-                    .into_iter()
-                    .map(|(trigger, c)| {
-                        (
-                            trigger.to_string(),
-                            Json::Num(c.load(Ordering::Relaxed) as f64),
-                        )
-                    })
-                    .collect(),
-            ),
+            "blackbox_dumps",
+            Json::obj(m.blackbox_dumps.named().map(|(t, c)| (t, load(c)))),
         ),
         (
-            "blackbox_dir".to_string(),
-            match shared.blackbox.dir() {
-                None => Json::Null,
-                Some(p) => Json::str(p.display().to_string()),
-            },
+            "blackbox_dir",
+            shared
+                .blackbox
+                .dir()
+                .map_or(Json::Null, |p| Json::str(p.display().to_string())),
         ),
         (
-            "durability".to_string(),
-            Json::Obj(vec![
-                ("wal_enabled".to_string(), Json::Bool(shared.wal.is_some())),
+            "durability",
+            Json::obj([
+                ("wal_enabled", Json::Bool(shared.wal.is_some())),
                 (
-                    "wal_degraded".to_string(),
+                    "wal_degraded",
                     Json::Bool(shared.wal.as_ref().is_some_and(|w| w.is_degraded())),
                 ),
+                ("wal_depth", load(&m.wal_depth)),
+                ("replayed_frames", load(&m.wal_replayed_frames)),
                 (
-                    "wal_depth".to_string(),
-                    Json::Num(m.wal_depth.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "replayed_frames".to_string(),
-                    Json::Num(m.wal_replayed_frames.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "checkpoints_enabled".to_string(),
+                    "checkpoints_enabled",
                     Json::Bool(shared.checkpoints.is_some()),
                 ),
+                ("checkpoint_writes", load(&m.checkpoint_writes)),
+                ("checkpoint_restores", load(&m.checkpoint_restores)),
                 (
-                    "checkpoint_writes".to_string(),
-                    Json::Num(m.checkpoint_writes.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "checkpoint_restores".to_string(),
-                    Json::Num(m.checkpoint_restores.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "checkpoint_age_seconds".to_string(),
+                    "checkpoint_age_seconds",
                     checkpoint_age_seconds(m).map_or(Json::Null, Json::Num),
                 ),
-                (
-                    "detector_rewarms".to_string(),
-                    Json::Num(m.detector_rewarms.load(Ordering::Relaxed) as f64),
-                ),
+                ("detector_rewarms", load(&m.detector_rewarms)),
             ]),
         ),
     ])
@@ -1004,40 +971,33 @@ fn debug_reply(shared: &Shared, tenant: Option<&str>) -> String {
 
 /// One tenant's live internals in the `debug` reply.
 fn tenant_debug_json(name: &str, d: &TenantDebug) -> Json {
-    Json::Obj(vec![
-        ("tenant".to_string(), Json::str(name)),
-        ("shard".to_string(), Json::Num(d.shard as f64)),
-        ("engine".to_string(), Json::str(d.engine)),
+    Json::obj([
+        ("tenant", Json::str(name)),
+        ("shard", Json::Num(d.shard as f64)),
+        ("engine", Json::str(d.engine)),
         (
-            "detector_phase".to_string(),
-            match d.detector_phase {
-                None => Json::Null,
-                Some(p) => Json::str(p),
-            },
+            "detector_phase",
+            d.detector_phase.map_or(Json::Null, Json::str),
         ),
-        ("breaker".to_string(), Json::str(d.breaker)),
+        ("breaker", Json::str(d.breaker)),
         (
-            "reorder".to_string(),
-            Json::Obj(vec![
-                ("buffered".to_string(), Json::Num(d.reorder_buffered as f64)),
+            "reorder",
+            Json::obj([
+                ("buffered", Json::Num(d.reorder_buffered as f64)),
                 (
-                    "last_emitted".to_string(),
-                    match d.reorder_last_emitted {
-                        None => Json::Null,
-                        Some(t) => Json::Num(t as f64),
-                    },
+                    "last_emitted",
+                    d.reorder_last_emitted
+                        .map_or(Json::Null, |t| Json::Num(t as f64)),
                 ),
-                ("max_seen".to_string(), Json::Num(d.reorder_max_seen as f64)),
-                ("lag".to_string(), Json::Num(d.reorder_lag as f64)),
+                ("max_seen", Json::Num(d.reorder_max_seen as f64)),
+                ("lag", Json::Num(d.reorder_lag as f64)),
             ]),
         ),
-        ("last_frame".to_string(), Json::str(d.last_frame.as_str())),
+        ("last_frame", Json::str(d.last_frame.as_str())),
         (
-            "last_checkpoint_ts".to_string(),
-            match d.last_checkpoint_unix_ms {
-                None => Json::Null,
-                Some(ms) => Json::Num(ms as f64),
-            },
+            "last_checkpoint_ts",
+            d.last_checkpoint_unix_ms
+                .map_or(Json::Null, |ms| Json::Num(ms as f64)),
         ),
     ])
 }
@@ -1067,29 +1027,17 @@ fn health_reply(shared: &Shared) -> String {
     .filter(|(_, latched)| *latched)
     .map(|(name, _)| Json::str(name))
     .collect();
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("health")),
-        ("status".to_string(), Json::str(status)),
-        ("degraded_subsystems".to_string(), Json::Arr(degraded)),
-        ("spool_degraded".to_string(), Json::Bool(spool_degraded)),
-        (
-            "quarantine_degraded".to_string(),
-            Json::Bool(quarantine_degraded),
-        ),
-        ("wal_degraded".to_string(), Json::Bool(wal_degraded)),
-        ("open_breakers".to_string(), Json::Num(open_breakers as f64)),
-        (
-            "worker_restarts".to_string(),
-            Json::Num(m.worker_restarts.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "pipeline_restarts".to_string(),
-            Json::Num(m.pipeline_restarts_panic.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "deadline_exceeded".to_string(),
-            Json::Num(m.deadline_exceeded.load(Ordering::Relaxed) as f64),
-        ),
+    Json::obj([
+        ("type", Json::str("health")),
+        ("status", Json::str(status)),
+        ("degraded_subsystems", Json::Arr(degraded)),
+        ("spool_degraded", Json::Bool(spool_degraded)),
+        ("quarantine_degraded", Json::Bool(quarantine_degraded)),
+        ("wal_degraded", Json::Bool(wal_degraded)),
+        ("open_breakers", Json::Num(open_breakers as f64)),
+        ("worker_restarts", load(&m.worker_restarts)),
+        ("pipeline_restarts", load(&m.pipeline_restarts_panic)),
+        ("deadline_exceeded", load(&m.deadline_exceeded)),
     ])
     .render()
 }
@@ -1110,40 +1058,35 @@ fn span_to_json(span: &obs::SpanRecord) -> Json {
             ((*k).to_string(), value)
         })
         .collect();
-    Json::Obj(vec![
-        ("id".to_string(), Json::Num(span.id as f64)),
+    Json::obj([
+        ("id", Json::Num(span.id as f64)),
         (
-            "parent".to_string(),
-            match span.parent {
-                None => Json::Null,
-                Some(p) => Json::Num(p as f64),
-            },
+            "parent",
+            span.parent.map_or(Json::Null, |p| Json::Num(p as f64)),
         ),
-        ("trace".to_string(), Json::Num(span.trace as f64)),
-        ("name".to_string(), Json::str(span.name)),
+        ("trace", Json::Num(span.trace as f64)),
+        ("name", Json::str(span.name)),
         (
-            "frame".to_string(),
-            match &span.frame {
-                None => Json::Null,
-                Some(token) => Json::str(token.as_ref()),
-            },
+            "frame",
+            span.frame
+                .as_ref()
+                .map_or(Json::Null, |token| Json::str(token.as_ref())),
         ),
-        (
-            "start_micros".to_string(),
-            Json::Num(span.start_micros as f64),
-        ),
-        (
-            "elapsed_micros".to_string(),
-            Json::Num(span.elapsed_micros as f64),
-        ),
-        ("fields".to_string(), Json::Obj(fields)),
+        ("start_micros", Json::Num(span.start_micros as f64)),
+        ("elapsed_micros", Json::Num(span.elapsed_micros as f64)),
+        ("fields", Json::Obj(fields)),
     ])
 }
 
-pub(crate) fn ok_reply(mut extra: Vec<(String, Json)>) -> String {
-    let mut pairs = vec![("type".to_string(), Json::str("ok"))];
+/// A counter or gauge's current value as a JSON number.
+pub(crate) fn load(counter: &AtomicU64) -> Json {
+    Json::Num(counter.load(Ordering::Relaxed) as f64)
+}
+
+pub(crate) fn ok_reply(mut extra: Vec<(&'static str, Json)>) -> String {
+    let mut pairs = vec![("type", Json::str("ok"))];
     pairs.append(&mut extra);
-    Json::Obj(pairs).render()
+    Json::obj(pairs).render()
 }
 
 fn stats_reply(shared: &Shared) -> String {
@@ -1151,102 +1094,52 @@ fn stats_reply(shared: &Shared) -> String {
     let shards: Vec<Json> = (0..m.num_shards())
         .map(|i| {
             let s = m.shard(i);
-            Json::Obj(vec![
-                (
-                    "dropped".to_string(),
-                    Json::Num(s.dropped.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "processed".to_string(),
-                    Json::Num(s.processed.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "depth".to_string(),
-                    Json::Num(s.depth.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "shed".to_string(),
-                    Json::Num(s.shed.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "breaker_open".to_string(),
-                    Json::Num(s.breaker_open.load(Ordering::Relaxed) as f64),
-                ),
+            Json::obj([
+                ("dropped", load(&s.dropped)),
+                ("processed", load(&s.processed)),
+                ("depth", load(&s.depth)),
+                ("shed", load(&s.shed)),
+                ("breaker_open", load(&s.breaker_open)),
             ])
         })
         .collect();
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("stats")),
+    Json::obj([
+        ("type", Json::str("stats")),
         (
-            "uptime_seconds".to_string(),
+            "uptime_seconds",
             Json::Num(shared.started.elapsed().as_secs_f64()),
         ),
-        ("version".to_string(), Json::str(build_version())),
+        ("version", Json::str(build_version())),
+        ("frames_ingested", load(&m.frames_ingested)),
+        ("frames_processed", Json::Num(m.total_processed() as f64)),
+        ("frames_dropped", Json::Num(m.total_dropped() as f64)),
+        ("frames_shed", Json::Num(m.total_shed() as f64)),
         (
-            "frames_ingested".to_string(),
-            Json::Num(m.frames_ingested.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "frames_processed".to_string(),
-            Json::Num(m.total_processed() as f64),
-        ),
-        (
-            "frames_dropped".to_string(),
-            Json::Num(m.total_dropped() as f64),
-        ),
-        ("frames_shed".to_string(), Json::Num(m.total_shed() as f64)),
-        (
-            "frames_quarantined".to_string(),
+            "frames_quarantined",
             Json::Num(m.total_quarantined() as f64),
         ),
         (
-            "leaves_repaired".to_string(),
+            "leaves_repaired",
             Json::Num(m.leaves_repaired.total() as f64),
         ),
+        ("deadline_exceeded", load(&m.deadline_exceeded)),
+        ("alarms", load(&m.alarms)),
         (
-            "deadline_exceeded".to_string(),
-            Json::Num(m.deadline_exceeded.load(Ordering::Relaxed) as f64),
+            "detections",
+            Json::obj(m.detections.named().map(|(s, c)| (s, load(c)))),
         ),
+        ("protocol_errors", load(&m.protocol_errors)),
         (
-            "alarms".to_string(),
-            Json::Num(m.alarms.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "detections".to_string(),
-            Json::Obj(
-                m.detections
-                    .named()
-                    .into_iter()
-                    .map(|(severity, c)| {
-                        (
-                            severity.to_string(),
-                            Json::Num(c.load(Ordering::Relaxed) as f64),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "protocol_errors".to_string(),
-            Json::Num(m.protocol_errors.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "incidents_in_ring".to_string(),
+            "incidents_in_ring",
             Json::Num(shared.sink.ring_len() as f64),
         ),
+        ("wal_depth", load(&m.wal_depth)),
+        ("replayed_frames", load(&m.wal_replayed_frames)),
         (
-            "wal_depth".to_string(),
-            Json::Num(m.wal_depth.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "replayed_frames".to_string(),
-            Json::Num(m.wal_replayed_frames.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "checkpoint_age_seconds".to_string(),
+            "checkpoint_age_seconds",
             checkpoint_age_seconds(m).map_or(Json::Null, Json::Num),
         ),
-        ("shards".to_string(), Json::Arr(shards)),
+        ("shards", Json::Arr(shards)),
     ])
     .render()
 }

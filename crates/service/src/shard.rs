@@ -1210,6 +1210,15 @@ fn rewarm(shared: &PoolShared, tenant: &Arc<str>, reason: &str) {
     );
 }
 
+/// Freeze every live flight ring into a blackbox dump for a failure of
+/// `tenant`'s frame `id`.
+fn dump_blackbox(shared: &PoolShared, trigger: &str, tenant: &str, id: &obs::FrameId) {
+    let rings = obs::recorder::snapshot();
+    shared
+        .blackbox
+        .dump(trigger, tenant, Some(id.as_str()), &rings);
+}
+
 /// Run one frame through the tenant's breaker and pipeline, with panic
 /// containment, incident recording, and breaker bookkeeping.
 fn process_frame(
@@ -1267,7 +1276,7 @@ fn process_frame(
                     ("reason", obs::Value::Str(panic_message(payload.as_ref()))),
                 ],
             );
-            shared.blackbox.dump("panic", tenant, Some(id.as_str()));
+            dump_blackbox(shared, "panic", tenant, id);
             true
         }
         Ok(Err(e)) => {
@@ -1321,7 +1330,7 @@ fn process_frame(
             metrics.e2e.observe(id.elapsed_seconds());
             if deadline_exceeded {
                 metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                shared.blackbox.dump("deadline", tenant, Some(id.as_str()));
+                dump_blackbox(shared, "deadline", tenant, id);
             }
             // a deadline overrun is a breaker failure: a tenant
             // whose every localization times out should be shed
@@ -1352,9 +1361,7 @@ fn process_frame(
                 "breaker_opened",
                 &[("tenant", obs::Value::Str(tenant.to_string()))],
             );
-            shared
-                .blackbox
-                .dump("breaker_open", tenant, Some(id.as_str()));
+            dump_blackbox(shared, "breaker_open", tenant, id);
         }
     } else if breaker.on_success() {
         shard_metrics.breaker_open.fetch_sub(1, Ordering::Relaxed);

@@ -7,18 +7,12 @@
 //! bounded ring so the control socket can answer `incidents` queries
 //! without touching disk.
 //!
-//! # Spool framing and recovery
-//!
-//! Each spool line is `{json}\t{crc32:08x}` — the IEEE CRC-32 of the JSON
-//! bytes, hex-encoded after a tab. On startup [`IncidentSink::open`] scans
-//! any existing spool: lines whose checksum verifies are kept, pre-CRC
-//! lines that still parse as JSON are kept read-only (legacy), and
-//! torn/corrupt bytes — typically the tail left by a crash mid-write — are
-//! truncated, with every outcome counted in [`crate::Metrics`]. The repair
-//! rewrites through a temp file and renames it into place, so a crash
-//! during recovery itself never loses the original spool.
-//!
-//! # Degraded mode
+//! The spool is a [`SegmentLog`]: `{json}\t{crc32:08x}` lines, rotated
+//! to `incidents.jsonl.1` on the size cap. On startup
+//! [`IncidentSink::open`] repairs the existing spool — verified lines are
+//! kept, pre-CRC lines that still parse as JSON are kept read-only
+//! (legacy), torn/corrupt bytes are truncated — and counts every outcome
+//! in [`crate::Metrics`].
 //!
 //! [`IncidentSink::record`] is infallible from the worker's perspective:
 //! if a spool write fails (disk full, volume gone), the sink latches into
@@ -26,16 +20,17 @@
 //! and keeps serving from memory instead of failing frames.
 
 use std::collections::{HashSet, VecDeque};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use pipeline::{IncidentReport, StageTimings};
 use rapminer::LocalizationTrace;
 
 use crate::json::Json;
+use crate::log::{read_docs, sealed_path, SegmentLog, SpoolRecovery, Store};
 use crate::metrics::Metrics;
 use crate::sync::lock_recover;
 
@@ -118,101 +113,54 @@ impl IncidentRecord {
 
     /// The JSON form used both for spool lines and control-socket replies.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tenant".to_string(), Json::str(&self.tenant)),
+        Json::obj([
+            ("tenant", Json::str(&self.tenant)),
             (
-                "frame".to_string(),
-                match &self.frame_id {
-                    None => Json::Null,
-                    Some(id) => Json::str(id),
-                },
+                "frame",
+                self.frame_id.as_deref().map_or(Json::Null, Json::str),
             ),
-            ("step".to_string(), Json::Num(self.step as f64)),
+            ("step", Json::Num(self.step as f64)),
+            ("total_deviation", Json::Num(self.total_deviation)),
+            ("anomalous_leaves", Json::Num(self.anomalous_leaves as f64)),
+            ("total_leaves", Json::Num(self.total_leaves as f64)),
+            ("raps", scored_to_json(&self.raps)),
+            ("timings", timings_to_json(&self.timings)),
             (
-                "total_deviation".to_string(),
-                Json::Num(self.total_deviation),
+                "trace",
+                self.trace.as_ref().map_or(Json::Null, trace_to_json),
             ),
+            ("deadline_exceeded", Json::Bool(self.deadline_exceeded)),
+            ("degraded_forecast", Json::Bool(self.degraded_forecast)),
             (
-                "anomalous_leaves".to_string(),
-                Json::Num(self.anomalous_leaves as f64),
-            ),
-            (
-                "total_leaves".to_string(),
-                Json::Num(self.total_leaves as f64),
-            ),
-            (
-                "raps".to_string(),
-                Json::Arr(
-                    self.raps
-                        .iter()
-                        .map(|(pattern, score)| {
-                            Json::Arr(vec![Json::str(pattern), Json::Num(*score)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("timings".to_string(), timings_to_json(&self.timings)),
-            (
-                "trace".to_string(),
-                match &self.trace {
-                    None => Json::Null,
-                    Some(trace) => trace_to_json(trace),
-                },
+                "severity",
+                self.severity.as_deref().map_or(Json::Null, Json::str),
             ),
             (
-                "deadline_exceeded".to_string(),
-                Json::Bool(self.deadline_exceeded),
-            ),
-            (
-                "degraded_forecast".to_string(),
-                Json::Bool(self.degraded_forecast),
-            ),
-            (
-                "severity".to_string(),
-                match &self.severity {
-                    None => Json::Null,
-                    Some(s) => Json::str(s),
-                },
-            ),
-            (
-                "detection".to_string(),
-                match &self.detection {
-                    None => Json::Null,
-                    Some(d) => detection_to_json(d),
-                },
+                "detection",
+                self.detection.as_ref().map_or(Json::Null, |d| {
+                    Json::obj([
+                        ("score", Json::Num(d.score)),
+                        ("leaf_scores", scored_to_json(&d.leaf_scores)),
+                    ])
+                }),
             ),
         ])
     }
 }
 
-fn detection_to_json(d: &DetectionRecord) -> Json {
-    Json::Obj(vec![
-        ("score".to_string(), Json::Num(d.score)),
-        (
-            "leaf_scores".to_string(),
-            Json::Arr(
-                d.leaf_scores
-                    .iter()
-                    .map(|(leaf, score)| Json::Arr(vec![Json::str(leaf), Json::Num(*score)]))
-                    .collect(),
-            ),
-        ),
-    ])
+/// `(name, score)` pairs as `[name, score]` arrays.
+fn scored_to_json(pairs: &[(String, f64)]) -> Json {
+    let pair = |(name, score): &(String, f64)| Json::Arr(vec![Json::str(name), Json::Num(*score)]);
+    Json::Arr(pairs.iter().map(pair).collect())
 }
 
 fn timings_to_json(t: &StageTimings) -> Json {
-    Json::Obj(vec![
-        ("detect_seconds".to_string(), Json::Num(t.detect_seconds)),
-        (
-            "detector_seconds".to_string(),
-            Json::Num(t.detector_seconds),
-        ),
-        ("cp_seconds".to_string(), Json::Num(t.cp_seconds)),
-        ("search_seconds".to_string(), Json::Num(t.search_seconds)),
-        (
-            "localize_seconds".to_string(),
-            Json::Num(t.localize_seconds),
-        ),
+    Json::obj([
+        ("detect_seconds", Json::Num(t.detect_seconds)),
+        ("detector_seconds", Json::Num(t.detector_seconds)),
+        ("cp_seconds", Json::Num(t.cp_seconds)),
+        ("search_seconds", Json::Num(t.search_seconds)),
+        ("localize_seconds", Json::Num(t.localize_seconds)),
     ])
 }
 
@@ -223,10 +171,10 @@ fn trace_to_json(trace: &LocalizationTrace) -> Json {
         .attrs
         .iter()
         .map(|a| {
-            Json::Obj(vec![
-                ("attribute".to_string(), Json::str(&a.attribute)),
-                ("cp".to_string(), Json::Num(a.cp)),
-                ("deleted".to_string(), Json::Bool(a.deleted)),
+            Json::obj([
+                ("attribute", Json::str(&a.attribute)),
+                ("cp", Json::Num(a.cp)),
+                ("deleted", Json::Bool(a.deleted)),
             ])
         })
         .collect();
@@ -234,11 +182,11 @@ fn trace_to_json(trace: &LocalizationTrace) -> Json {
         .layers
         .iter()
         .map(|l| {
-            Json::Obj(vec![
-                ("layer".to_string(), Json::Num(l.layer as f64)),
-                ("cuboids".to_string(), Json::Num(l.cuboids as f64)),
-                ("combos".to_string(), Json::Num(l.combos as f64)),
-                ("candidates".to_string(), Json::Num(l.candidates as f64)),
+            Json::obj([
+                ("layer", Json::Num(l.layer as f64)),
+                ("cuboids", Json::Num(l.cuboids as f64)),
+                ("combos", Json::Num(l.combos as f64)),
+                ("candidates", Json::Num(l.candidates as f64)),
             ])
         })
         .collect();
@@ -246,211 +194,46 @@ fn trace_to_json(trace: &LocalizationTrace) -> Json {
         .candidates
         .iter()
         .map(|c| {
-            Json::Obj(vec![
-                ("combination".to_string(), Json::str(&c.combination)),
-                ("confidence".to_string(), Json::Num(c.confidence)),
-                ("layer".to_string(), Json::Num(c.layer as f64)),
-                ("score".to_string(), Json::Num(c.score)),
-                ("kept".to_string(), Json::Bool(c.kept)),
+            Json::obj([
+                ("combination", Json::str(&c.combination)),
+                ("confidence", Json::Num(c.confidence)),
+                ("layer", Json::Num(c.layer as f64)),
+                ("score", Json::Num(c.score)),
+                ("kept", Json::Bool(c.kept)),
             ])
         })
         .collect();
-    let stats = Json::Obj(vec![
-        (
-            "attrs_deleted".to_string(),
-            Json::Num(trace.stats.attrs_deleted as f64),
-        ),
-        (
-            "cuboids_visited".to_string(),
-            Json::Num(trace.stats.cuboids_visited as f64),
-        ),
-        (
-            "combos_visited".to_string(),
-            Json::Num(trace.stats.combos_visited as f64),
-        ),
-        (
-            "candidates_found".to_string(),
-            Json::Num(trace.stats.candidates_found as f64),
-        ),
-        (
-            "early_stopped".to_string(),
-            Json::Bool(trace.stats.early_stopped),
-        ),
-        ("cancelled".to_string(), Json::Bool(trace.stats.cancelled)),
+    let s = &trace.stats;
+    let stats = Json::obj([
+        ("attrs_deleted", Json::Num(s.attrs_deleted as f64)),
+        ("cuboids_visited", Json::Num(s.cuboids_visited as f64)),
+        ("combos_visited", Json::Num(s.combos_visited as f64)),
+        ("candidates_found", Json::Num(s.candidates_found as f64)),
+        ("early_stopped", Json::Bool(s.early_stopped)),
+        ("cancelled", Json::Bool(s.cancelled)),
     ]);
-    let detection = match &trace.detection {
-        None => Json::Null,
-        Some(d) => Json::Obj(vec![
-            ("severity".to_string(), Json::str(&d.severity)),
-            ("score".to_string(), Json::Num(d.score)),
-            (
-                "leaf_scores".to_string(),
-                Json::Arr(
-                    d.leaf_scores
-                        .iter()
-                        .map(|(leaf, score)| Json::Arr(vec![Json::str(leaf), Json::Num(*score)]))
-                        .collect(),
-                ),
-            ),
-        ]),
-    };
-    Json::Obj(vec![
-        ("attrs".to_string(), Json::Arr(attrs)),
-        ("layers".to_string(), Json::Arr(layers)),
-        ("candidates".to_string(), Json::Arr(candidates)),
-        ("stats".to_string(), stats),
-        ("cp_seconds".to_string(), Json::Num(trace.cp_seconds)),
-        (
-            "search_seconds".to_string(),
-            Json::Num(trace.search_seconds),
-        ),
-        ("detection".to_string(), detection),
+    let detection = trace.detection.as_ref().map_or(Json::Null, |d| {
+        Json::obj([
+            ("severity", Json::str(&d.severity)),
+            ("score", Json::Num(d.score)),
+            ("leaf_scores", scored_to_json(&d.leaf_scores)),
+        ])
+    });
+    Json::obj([
+        ("attrs", Json::Arr(attrs)),
+        ("layers", Json::Arr(layers)),
+        ("candidates", Json::Arr(candidates)),
+        ("stats", stats),
+        ("cp_seconds", Json::Num(trace.cp_seconds)),
+        ("search_seconds", Json::Num(trace.search_seconds)),
+        ("detection", detection),
     ])
-}
-
-/// IEEE CRC-32 (polynomial `0xEDB88320`), one table lookup per byte:
-/// every WAL append checksums a whole frame, so this runs over every
-/// ingested byte.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// `CRC32_TABLE[i]`: the register after shifting byte `i` through the
-/// polynomial's eight bitwise rounds.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut round = 0;
-        while round < 8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            round += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// One spool line: the payload, its checksum suffix and the terminating
-/// newline, ready to append with a single `write`.
-pub(crate) fn frame_spool_line(json: &str) -> String {
-    format!("{json}\t{:08x}\n", crc32(json.as_bytes()))
-}
-
-/// What [`IncidentSink::open`] found when scanning an existing spool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpoolRecovery {
-    /// Lines whose CRC-32 suffix verified.
-    pub recovered: u64,
-    /// Pre-CRC lines accepted read-only because they parse as JSON.
-    pub legacy: u64,
-    /// Torn or corrupt bytes dropped from the file.
-    pub truncated_bytes: u64,
-}
-
-/// Verdict on one scanned spool line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LineVerdict {
-    /// CRC suffix present and correct.
-    Verified,
-    /// No CRC suffix, but the whole line parses as a JSON object
-    /// (a spool written before checksumming existed).
-    Legacy,
-    /// Torn or corrupt: drop it.
-    Corrupt,
-}
-
-pub(crate) fn judge_line(line: &str) -> LineVerdict {
-    if let Some((json, suffix)) = line.rsplit_once('\t') {
-        if suffix.len() == 8
-            && suffix.chars().all(|c| c.is_ascii_hexdigit())
-            && u32::from_str_radix(suffix, 16) == Ok(crc32(json.as_bytes()))
-        {
-            return LineVerdict::Verified;
-        }
-    }
-    match crate::json::parse(line) {
-        Ok(Json::Obj(_)) => LineVerdict::Legacy,
-        _ => LineVerdict::Corrupt,
-    }
-}
-
-/// Scan an existing spool, keep every intact line, and truncate the rest.
-///
-/// The repaired content is written to a sibling temp file first and
-/// renamed over the original, so a crash mid-repair leaves either the old
-/// or the new spool — never a half-written one. A missing file is an empty
-/// recovery, not an error. Shared with the WAL and checkpoint stores,
-/// which use the same line framing.
-pub(crate) fn repair_spool(path: &Path) -> io::Result<SpoolRecovery> {
-    let data = match fs::read_to_string(path) {
-        Ok(data) => data,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SpoolRecovery::default()),
-        Err(e) => return Err(e),
-    };
-    let mut recovery = SpoolRecovery::default();
-    let mut kept = String::with_capacity(data.len());
-    let mut dropped_any = false;
-    // `lines()` also yields a final unterminated fragment; if its checksum
-    // verifies the write actually completed and only the newline was lost,
-    // so it is kept (re-terminated). Anything else at the tail is torn.
-    let unterminated_tail = !data.is_empty() && !data.ends_with('\n');
-    for line in data.lines() {
-        match judge_line(line) {
-            LineVerdict::Verified => recovery.recovered += 1,
-            LineVerdict::Legacy => recovery.legacy += 1,
-            LineVerdict::Corrupt => {
-                dropped_any = true;
-                continue;
-            }
-        }
-        kept.push_str(line);
-        kept.push('\n');
-    }
-    recovery.truncated_bytes = (data.len() as u64).saturating_sub(kept.len() as u64);
-    if dropped_any || unterminated_tail {
-        let tmp = path.with_extension("jsonl.repair");
-        fs::write(&tmp, &kept)?;
-        fs::rename(&tmp, path)?;
-    }
-    Ok(recovery)
-}
-
-/// Harvest the frame tokens of every intact incident line in `path` into
-/// `seen` — the boot-time seed of the replay-dedup set. A missing or
-/// unreadable segment contributes nothing (recovery must never refuse to
-/// boot over a spool).
-fn collect_frame_tokens(path: &Path, seen: &mut HashSet<String>) {
-    let Ok(data) = fs::read_to_string(path) else {
-        return;
-    };
-    for line in data.lines() {
-        let json = match judge_line(line) {
-            LineVerdict::Verified => match line.rsplit_once('\t') {
-                Some((json, _)) => json,
-                None => continue,
-            },
-            LineVerdict::Legacy => line,
-            LineVerdict::Corrupt => continue,
-        };
-        if let Ok(doc) = crate::json::parse(json) {
-            if let Some(frame) = doc.get("frame").and_then(Json::as_str) {
-                seen.insert(frame.to_string());
-            }
-        }
-    }
 }
 
 /// Where incidents go: crash-safe JSONL spool (optional) + bounded ring.
 #[derive(Debug)]
 pub struct IncidentSink {
-    spool: Option<Spool>,
+    spool: Option<(PathBuf, Mutex<SegmentLog>)>,
     ring: Mutex<VecDeque<IncidentRecord>>,
     ring_capacity: usize,
     /// Frame tokens already present in the spool at open time plus every
@@ -459,19 +242,6 @@ pub struct IncidentSink {
     /// incident, and this set suppresses the duplicate.
     seen_frames: Mutex<HashSet<String>>,
     metrics: Arc<Metrics>,
-}
-
-#[derive(Debug)]
-struct Spool {
-    path: PathBuf,
-    file: Mutex<File>,
-    /// Current spool size in bytes, maintained by appends; seeds the
-    /// size-based rotation check.
-    bytes: AtomicU64,
-    /// Rotate when the spool exceeds this many bytes; `0` disables.
-    max_bytes: u64,
-    /// Latched on the first write error; the sink then serves ring-only.
-    degraded: AtomicBool,
 }
 
 impl IncidentSink {
@@ -496,49 +266,47 @@ impl IncidentSink {
         metrics: Arc<Metrics>,
     ) -> io::Result<Self> {
         let mut seen_frames = HashSet::new();
-        let spool = match spool_dir {
-            None => None,
-            Some(dir) => {
-                fs::create_dir_all(dir)?;
-                let path = dir.join("incidents.jsonl");
-                let recovery = repair_spool(&path)?;
-                for segment in [path.with_extension("jsonl.1"), path.clone()] {
-                    collect_frame_tokens(&segment, &mut seen_frames);
+        let mut spool = None;
+        if let Some(dir) = spool_dir {
+            fs::create_dir_all(dir)?;
+            let path = dir.join("incidents.jsonl");
+            let (log, recovery) = SegmentLog::open(
+                path.clone(),
+                max_bytes,
+                false,
+                Store::Incidents,
+                Arc::clone(&metrics),
+            )?;
+            for doc in [sealed_path(&path), path.clone()]
+                .iter()
+                .flat_map(|segment| read_docs(segment))
+            {
+                if let Some(frame) = doc.get("frame").and_then(Json::as_str) {
+                    seen_frames.insert(frame.to_string());
                 }
-                metrics
-                    .spool_recovered_lines
-                    .store(recovery.recovered, Ordering::Relaxed);
-                metrics
-                    .spool_legacy_lines
-                    .store(recovery.legacy, Ordering::Relaxed);
-                metrics
-                    .spool_truncated_bytes
-                    .store(recovery.truncated_bytes, Ordering::Relaxed);
-                if recovery != SpoolRecovery::default() {
-                    obs::info(
-                        "sink",
-                        "spool_recovered",
-                        &[
-                            ("recovered", obs::Value::from(recovery.recovered)),
-                            ("legacy", obs::Value::from(recovery.legacy)),
-                            (
-                                "truncated_bytes",
-                                obs::Value::from(recovery.truncated_bytes),
-                            ),
-                        ],
-                    );
-                }
-                let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-                Some(Spool {
-                    path,
-                    file: Mutex::new(file),
-                    bytes: AtomicU64::new(bytes),
-                    max_bytes,
-                    degraded: AtomicBool::new(false),
-                })
             }
-        };
+            metrics
+                .spool_recovered_lines
+                .store(recovery.recovered, Ordering::Relaxed);
+            metrics
+                .spool_legacy_lines
+                .store(recovery.legacy, Ordering::Relaxed);
+            metrics
+                .spool_truncated_bytes
+                .store(recovery.truncated_bytes, Ordering::Relaxed);
+            if recovery != SpoolRecovery::default() {
+                obs::info(
+                    "sink",
+                    "spool_recovered",
+                    &[
+                        ("recovered", recovery.recovered.into()),
+                        ("legacy", recovery.legacy.into()),
+                        ("truncated_bytes", recovery.truncated_bytes.into()),
+                    ],
+                );
+            }
+            spool = Some((path, Mutex::new(log)));
+        }
         Ok(IncidentSink {
             spool,
             ring: Mutex::new(VecDeque::new()),
@@ -550,14 +318,12 @@ impl IncidentSink {
 
     /// The spool file path, when spooling is enabled.
     pub fn spool_path(&self) -> Option<&Path> {
-        self.spool.as_ref().map(|s| s.path.as_path())
+        self.spool.as_ref().map(|(path, _)| path.as_path())
     }
 
     /// Whether a spool write error has degraded the sink to ring-only.
     pub fn is_degraded(&self) -> bool {
-        self.spool
-            .as_ref()
-            .is_some_and(|s| s.degraded.load(Ordering::Relaxed))
+        self.spool.is_some() && Store::Incidents.is_degraded(&self.metrics)
     }
 
     /// Record one incident: push to the ring (evicting the oldest entry
@@ -583,7 +349,7 @@ impl IncidentSink {
                 return;
             }
         }
-        let line = frame_spool_line(&record.to_json().render());
+        let json = record.to_json().render();
         {
             let mut ring = lock_recover(&self.ring);
             if ring.len() == self.ring_capacity {
@@ -591,72 +357,9 @@ impl IncidentSink {
             }
             ring.push_back(record);
         }
-        let Some(spool) = &self.spool else { return };
-        if spool.degraded.load(Ordering::Relaxed) {
-            return;
+        if let Some((_, log)) = &self.spool {
+            lock_recover(log).append(&json);
         }
-        let result = {
-            let mut file = lock_recover(&spool.file);
-            if obs::fail::should_error("spool-write-error") {
-                Err(io::Error::other("injected spool write error"))
-            } else {
-                file.write_all(line.as_bytes())
-                    .and_then(|()| file.flush())
-                    .and_then(|()| {
-                        let bytes = spool.bytes.fetch_add(line.len() as u64, Ordering::Relaxed)
-                            + line.len() as u64;
-                        if spool.max_bytes > 0 && bytes > spool.max_bytes {
-                            self.rotate(spool, &mut file)?;
-                        }
-                        Ok(())
-                    })
-            }
-        };
-        if let Err(e) = result {
-            self.metrics
-                .spool_write_errors
-                .fetch_add(1, Ordering::Relaxed);
-            if !spool.degraded.swap(true, Ordering::Relaxed) {
-                self.metrics.spool_degraded.store(1, Ordering::Relaxed);
-                obs::warn(
-                    "sink",
-                    "spool_degraded",
-                    &[
-                        ("error", obs::Value::from(e.to_string())),
-                        ("path", obs::Value::from(spool.path.display().to_string())),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Rotate the spool: the current file becomes `incidents.jsonl.1`
-    /// (evicting the previous segment) and appends continue into a fresh
-    /// file. Called with the spool file lock held.
-    fn rotate(&self, spool: &Spool, file: &mut File) -> io::Result<()> {
-        file.sync_all()?;
-        let old = spool.path.with_extension("jsonl.1");
-        match fs::remove_file(&old) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        fs::rename(&spool.path, &old)?;
-        *file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&spool.path)?;
-        spool.bytes.store(0, Ordering::Relaxed);
-        self.metrics
-            .spool_rotations
-            .incidents
-            .fetch_add(1, Ordering::Relaxed);
-        obs::info(
-            "sink",
-            "spool_rotated",
-            &[("path", obs::Value::from(spool.path.display().to_string()))],
-        );
-        Ok(())
     }
 
     /// The most recent incidents, newest first, at most `limit`.
@@ -674,6 +377,7 @@ impl IncidentSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{frame_spool_line, judge_line, LineVerdict};
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
@@ -745,59 +449,6 @@ mod tests {
         assert_eq!(doc.get("deadline_exceeded").unwrap().as_bool(), Some(false));
         let raps = doc.get("raps").unwrap().as_arr().unwrap();
         assert_eq!(raps[0].as_arr().unwrap()[0].as_str(), Some("(L1, *)"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // standard IEEE CRC-32 check values
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    /// The bitwise CRC-32 the table version replaced: eight shift/xor
-    /// rounds per byte.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in data {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_table_matches_the_bitwise_reference() {
-        // xorshift64 with a fixed seed: random lengths and bytes
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..500 {
-            let len = (next() % 1024) as usize;
-            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            assert_eq!(crc32(&data), crc32_bitwise(&data), "input {data:?}");
-        }
-    }
-
-    #[test]
-    fn empty_spool_recovers_to_nothing() {
-        let dir = scratch("empty");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("incidents.jsonl");
-        fs::write(&path, "").unwrap();
-        assert_eq!(repair_spool(&path).unwrap(), SpoolRecovery::default());
-        // missing file behaves the same
-        assert_eq!(
-            repair_spool(&dir.join("absent.jsonl")).unwrap(),
-            SpoolRecovery::default()
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1017,30 +668,6 @@ mod tests {
         assert_eq!(timings.get("cp_seconds").unwrap().as_f64(), Some(0.002));
         assert_eq!(doc.get("trace"), Some(&Json::Null));
         assert_eq!(doc.get("degraded_forecast").unwrap().as_bool(), Some(false));
-    }
-
-    #[test]
-    fn judge_line_distinguishes_every_verdict() {
-        // checksummed line → Verified
-        let framed = frame_spool_line(r#"{"tenant":"t"}"#).trim_end().to_string();
-        assert_eq!(judge_line(&framed), LineVerdict::Verified);
-        // bare JSON object (pre-CRC spool) → Legacy
-        assert_eq!(judge_line(r#"{"tenant":"t"}"#), LineVerdict::Legacy);
-        // legacy JSON containing a literal tab in a string still judges
-        // correctly: the suffix after the tab is not an 8-hex CRC
-        assert_eq!(judge_line("{\"note\":\"a\tb\"}"), LineVerdict::Legacy);
-        // wrong checksum → Corrupt (not legacy: the tab suffix breaks parse)
-        let mut tampered = framed.clone();
-        tampered.replace_range(..1, " ");
-        assert_eq!(judge_line(&tampered), LineVerdict::Corrupt);
-        // torn fragments and non-object JSON → Corrupt
-        assert_eq!(judge_line(r#"{"tenant":"t"#), LineVerdict::Corrupt);
-        assert_eq!(judge_line("[1,2,3]"), LineVerdict::Corrupt);
-        assert_eq!(judge_line(""), LineVerdict::Corrupt);
-        // an 8-hex suffix guarding different bytes → Corrupt
-        let (json, crc) = framed.rsplit_once('\t').unwrap();
-        let mismatched = format!("{json} \t{crc}");
-        assert_eq!(judge_line(&mismatched), LineVerdict::Corrupt);
     }
 
     #[test]

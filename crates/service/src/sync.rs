@@ -9,12 +9,25 @@
 //! take the data and keep serving. These helpers centralize that policy;
 //! service code must not call `.lock().expect(..)` directly.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    WaitTimeoutResult,
+};
 use std::time::Duration;
 
 /// Lock a mutex, recovering the guard if a panicking holder poisoned it.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-lock an `RwLock` under the same poison-recovery policy.
+pub(crate) fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-lock an `RwLock` under the same poison-recovery policy.
+pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`Condvar::wait`] with the same poison-recovery policy.

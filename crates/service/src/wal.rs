@@ -4,14 +4,13 @@
 //! acknowledged on the wire is never lost**. The observe verb appends
 //! every admitted frame to a per-tenant journal under `<spool_dir>/wal/`
 //! *before* handing it to the shard queues; on startup the daemon replays
-//! the journal suffix past the last checkpoint's acknowledgment, so a
+//! the journaled entries past the last checkpoint's acknowledgment, so a
 //! `kill -9` loses nothing past admission.
 //!
-//! Journal lines use the same `{json}\t{crc32:08x}` framing as the
-//! incident spool, and the same torn-tail repair
-//! ([`crate::sink::repair_spool`]) runs over each segment at recovery —
-//! a crash mid-append costs at most the line being written, which is
-//! exactly the frame that was never acknowledged.
+//! Each journal is a [`SegmentLog`]: `{json}\t{crc32:08x}` lines, torn
+//! tails repaired when it is opened — a crash mid-append costs at most
+//! the line being written, which is exactly the frame that was never
+//! acknowledged.
 //!
 //! By default an append is flushed (not fsynced) before the wire
 //! acknowledgment: the line is in the kernel page cache, which survives
@@ -20,32 +19,44 @@
 //! the guarantee to machine-crash durability by `sync_data`ing every
 //! append, at a per-frame fsync cost.
 //!
-//! Two journals live here:
+//! Two kinds of journal live here:
 //!
-//! * `<tenant>.jsonl` — one [`WalEntry`] per admitted frame, compacted
-//!   after each checkpoint acknowledges a sequence watermark;
+//! * `<stem>.jsonl` (+ `<stem>.jsonl.1`) — one [`WalEntry`] per admitted
+//!   frame. Compaction after a checkpoint deletes whole segments: the
+//!   sealed `.1` once every entry in it is acknowledged, then the live
+//!   segment is sealed in its place (and deleted at once if it too is
+//!   fully acknowledged). Compaction reads and rewrites nothing (with
+//!   `fsync` it syncs only the directory of the re-created live segment)
+//!   — the WAL keeps each segment's unacknowledged `(tenant, seq)` pairs
+//!   in memory, so tenants whose names share a stem ack only their own
+//!   entries. An acknowledged entry that shares a segment with an
+//!   unacknowledged one stays on disk until a later checkpoint covers the
+//!   whole segment; replay skips it by sequence.
 //! * `schemas.jsonl` — an append-only journal of registered tenant
 //!   schemas, loaded before replay so replayed frames can be re-resolved
-//!   (the in-memory schema map dies with the process).
+//!   (the in-memory schema map dies with the process). A tenant named
+//!   `schemas` journals its frames here too; this file is never sealed or
+//!   deleted.
 //!
-//! Like every sink in this crate, appends are infallible from the
-//! caller's perspective: a write failure latches the WAL into degraded
+//! Each stem's journal has its own lock, so one tenant's compaction
+//! never waits for, or holds up, another tenant's append.
+//!
+//! Like every log in this crate, appends are infallible from the caller's
+//! perspective: a write failure latches the WAL into degraded
 //! (journal-less) mode — one warning event, `rapd_wal_append_errors_total`
 //! counted — rather than failing ingestion. Durability degrades; service
 //! does not.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::json::Json;
+use crate::log::{read_docs, sanitize_tenant, sealed_path, SegmentLog, Store};
 use crate::metrics::Metrics;
-use crate::quarantine::sanitize_tenant;
-use crate::sink::{frame_spool_line, repair_spool};
-use crate::sync::lock_recover;
+use crate::sync::{lock_recover, read_recover, write_recover};
 
 /// A journaled schema: the attribute parts (`(name, element names)`) a
 /// tenant registered, exactly as `Request::Schema` carries them.
@@ -74,31 +85,12 @@ pub struct WalEntry {
 impl WalEntry {
     /// The JSON form journaled to disk.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tenant".to_string(), Json::str(&self.tenant)),
-            ("frame".to_string(), Json::str(&self.frame)),
-            ("seq".to_string(), Json::Num(self.seq as f64)),
-            (
-                "ts".to_string(),
-                match self.ts {
-                    None => Json::Null,
-                    Some(t) => Json::Num(t as f64),
-                },
-            ),
-            (
-                "rows".to_string(),
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|(names, value)| {
-                            Json::Arr(vec![
-                                Json::Arr(names.iter().map(Json::str).collect()),
-                                Json::Num(*value),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        Json::obj([
+            ("tenant", Json::str(&self.tenant)),
+            ("frame", Json::str(&self.frame)),
+            ("seq", Json::Num(self.seq as f64)),
+            ("ts", self.ts.map_or(Json::Null, |t| Json::Num(t as f64))),
+            ("rows", rows_to_json(&self.rows)),
         ])
     }
 
@@ -111,13 +103,7 @@ impl WalEntry {
             .iter()
             .map(|row| {
                 let row = row.as_arr()?;
-                let names = row
-                    .first()?
-                    .as_arr()?
-                    .iter()
-                    .map(|n| Some(n.as_str()?.to_string()))
-                    .collect::<Option<Vec<String>>>()?;
-                Some((names, row.get(1)?.as_f64()?))
+                Some((strings(row.first()?)?, row.get(1)?.as_f64()?))
             })
             .collect::<Option<Vec<_>>>()?;
         Some(WalEntry {
@@ -130,237 +116,269 @@ impl WalEntry {
     }
 }
 
-/// The per-tenant frame journal under `<spool_dir>/wal/`.
+/// Rows as `[[name, ...], value]` arrays — their form in journal
+/// entries, quarantine records and observe lines.
+pub(crate) fn rows_to_json(rows: &[(Vec<String>, f64)]) -> Json {
+    let row = |(names, value): &(Vec<String>, f64)| {
+        Json::Arr(vec![
+            Json::Arr(names.iter().map(Json::str).collect()),
+            Json::Num(*value),
+        ])
+    };
+    Json::Arr(rows.iter().map(row).collect())
+}
+
+/// Schema parts as `[name, [element, ...]]` arrays — their form in the
+/// schema journal and in schema lines.
+pub(crate) fn parts_to_json(parts: &[(String, Vec<String>)]) -> Json {
+    let part = |(name, elements): &(String, Vec<String>)| {
+        Json::Arr(vec![
+            Json::str(name),
+            Json::Arr(elements.iter().map(Json::str).collect()),
+        ])
+    };
+    Json::Arr(parts.iter().map(part).collect())
+}
+
+/// An array of strings; `None` when any element is not one.
+fn strings(doc: &Json) -> Option<Vec<String>> {
+    doc.as_arr()?
+        .iter()
+        .map(|s| Some(s.as_str()?.to_string()))
+        .collect()
+}
+
+/// The stem of the schema journal, `schemas.jsonl`.
+const SCHEMAS: &str = "schemas";
+
+/// The per-tenant frame journals under `<spool_dir>/wal/`.
 #[derive(Debug)]
 pub(crate) struct FrameWal {
     dir: PathBuf,
-    /// Lazily opened per-tenant append handles, keyed by sanitized stem.
-    /// This lock is the segment lock: appends hold it across the write
-    /// and the depth bookkeeping, and compaction holds it across its
-    /// whole read–rewrite–rename, so an append lands wholly before or
-    /// wholly after a compaction — never inside one, where its line
-    /// would be discarded with the replaced inode.
-    files: Mutex<HashMap<String, File>>,
-    /// Unacknowledged entries per stem; the sum is the `rapd_wal_depth`
-    /// gauge. Lock order: `files` before `depth`, always.
-    depth: Mutex<HashMap<String, u64>>,
+    /// One journal per stem, the schema journal's included, each behind
+    /// its own lock. The registry lock is held only to look a journal up,
+    /// or exclusively — once per stem — to open it.
+    journals: RwLock<HashMap<String, Arc<Mutex<Journal>>>>,
     metrics: Arc<Metrics>,
     /// `sync_data` every append (machine-crash durability) instead of
     /// relying on the page cache (process-crash durability).
     fsync: bool,
-    /// Latched on the first append error; the WAL then journals nothing.
-    degraded: AtomicBool,
+}
+
+/// The `(tenant, seq)` of each entry in a segment that no checkpoint has
+/// acknowledged yet.
+type Unacked = Vec<(String, u64)>;
+
+/// One stem's journal, and per segment what compaction needs to know
+/// without reading it: the entries still unacknowledged. They carry their
+/// tenant, so tenants whose names share a stem ack only their own.
+#[derive(Debug)]
+struct Journal {
+    log: SegmentLog,
+    live: Unacked,
+    /// `None` when there is no sealed `.1` segment.
+    sealed: Option<Unacked>,
+}
+
+impl Journal {
+    fn depth(&self) -> usize {
+        self.live.len() + self.sealed.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Forget `tenant`'s entries up to `ack`, then delete each segment left
+    /// with none unacknowledged: the sealed one; then, with no sealed
+    /// segment left, seal the live one (when `seal`) and delete that too if
+    /// it is fully acknowledged. Returns the number of segments deleted.
+    fn compact(&mut self, tenant: &str, ack: u64, seal: bool) -> std::io::Result<u64> {
+        for segment in std::iter::once(&mut self.live).chain(&mut self.sealed) {
+            segment.retain(|(t, seq)| t != tenant || *seq > ack);
+        }
+        let mut deleted = 0;
+        loop {
+            if self.sealed.as_ref().is_some_and(Vec::is_empty) {
+                self.log.delete_sealed()?;
+                self.sealed = None;
+                deleted += 1;
+            }
+            if self.sealed.is_some() || self.log.is_empty() || !seal {
+                return Ok(deleted);
+            }
+            self.log.rotate()?;
+            self.sealed = Some(std::mem::take(&mut self.live));
+        }
+    }
 }
 
 impl FrameWal {
-    /// Open (creating) the `<spool_dir>/wal/` journal directory. With
-    /// `fsync`, every append is `sync_data`'d before the caller (and
-    /// therefore the wire acknowledgment) proceeds — durability against
-    /// power loss, at a per-frame fsync cost; without it, a flushed line
-    /// survives `kill -9` but sits in the page cache until the kernel
-    /// writes it back.
+    /// Open (creating) the `<spool_dir>/wal/` journal directory and its
+    /// schema journal. With `fsync`, every append is `sync_data`'d before
+    /// the caller (and therefore the wire acknowledgment) proceeds —
+    /// durability against power loss, at a per-frame fsync cost; without
+    /// it, a flushed line survives `kill -9` but sits in the page cache
+    /// until the kernel writes it back.
     ///
     /// # Errors
     ///
-    /// Fails when the directory cannot be created.
-    pub fn open(spool_dir: &Path, metrics: Arc<Metrics>, fsync: bool) -> io::Result<Self> {
+    /// Fails when the directory or the schema journal cannot be created.
+    pub fn open(spool_dir: &Path, metrics: Arc<Metrics>, fsync: bool) -> std::io::Result<Self> {
         let dir = spool_dir.join("wal");
         fs::create_dir_all(&dir)?;
-        Ok(FrameWal {
+        let wal = FrameWal {
             dir,
-            files: Mutex::new(HashMap::new()),
-            depth: Mutex::new(HashMap::new()),
+            journals: RwLock::new(HashMap::new()),
             metrics,
             fsync,
-            degraded: AtomicBool::new(false),
-        })
+        };
+        // fail now, not at the first registration, when it cannot be created
+        wal.open_journal(SCHEMAS)?;
+        Ok(wal)
     }
 
     /// Whether an append error has latched the WAL into journal-less mode.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
+        Store::Wal.is_degraded(&self.metrics)
     }
 
-    /// Journaled frames not yet acknowledged by a checkpoint, across all
-    /// tenants.
-    pub fn depth(&self) -> u64 {
-        lock_recover(&self.depth).values().sum()
+    /// Open one stem's journal: repair the live segment's torn tail and
+    /// scan both segments for their entries, which are returned too (the
+    /// replay stream).
+    fn open_journal(&self, stem: &str) -> std::io::Result<(Journal, Vec<WalEntry>)> {
+        let path = self.dir.join(format!("{stem}.jsonl"));
+        let sealed = sealed_path(&path);
+        let metrics = Arc::clone(&self.metrics);
+        let (log, _) = SegmentLog::open(path.clone(), 0, self.fsync, Store::Wal, metrics)?;
+        let mut entries = Vec::new();
+        let mut scan = |segment: &Path| -> Unacked {
+            let start = entries.len();
+            entries.extend(read_docs(segment).iter().filter_map(WalEntry::from_json));
+            entries[start..]
+                .iter()
+                .map(|e| (e.tenant.clone(), e.seq))
+                .collect()
+        };
+        let journal = Journal {
+            sealed: sealed.exists().then(|| scan(&sealed)),
+            live: scan(&path),
+            log,
+        };
+        Ok((journal, entries))
     }
 
-    fn publish_depth(&self) {
-        self.metrics
-            .wal_depth
-            .store(self.depth(), Ordering::Relaxed);
+    /// The journal of `stem`, opened on first use. `None` when it cannot
+    /// be opened — which degrades the WAL.
+    fn journal(&self, stem: String) -> Option<Arc<Mutex<Journal>>> {
+        if let Some(journal) = read_recover(&self.journals).get(&stem) {
+            return Some(Arc::clone(journal));
+        }
+        let mut journals = write_recover(&self.journals);
+        if let Some(journal) = journals.get(&stem) {
+            return Some(Arc::clone(journal));
+        }
+        match self.open_journal(&stem) {
+            Ok((journal, _)) => {
+                let depth = journal.depth() as u64;
+                self.metrics.wal_depth.fetch_add(depth, Ordering::Relaxed);
+                let journal = Arc::new(Mutex::new(journal));
+                journals.insert(stem, Arc::clone(&journal));
+                Some(journal)
+            }
+            Err(e) => {
+                let path = self.dir.join(format!("{stem}.jsonl"));
+                Store::Wal.trip(&self.metrics, &path, &e);
+                None
+            }
+        }
     }
 
-    /// Append one admitted frame to its tenant's journal segment, flushed
+    /// Append one admitted frame to its tenant's journal, flushed
     /// immediately so a `kill -9` right after the wire acknowledgment
     /// still finds the frame on disk. Infallible: a write failure latches
     /// degraded mode instead of failing the ingest path.
     pub fn append(&self, entry: &WalEntry) {
-        if self.degraded.load(Ordering::Relaxed) {
+        if self.is_degraded() {
             return;
         }
-        let line = frame_spool_line(&entry.to_json().render());
-        let stem = sanitize_tenant(&entry.tenant);
-        // Hold the segment lock across the write *and* the depth update:
-        // compact() holds it for its whole rewrite, so neither the line
-        // nor its depth increment can interleave with a compaction.
-        let mut files = lock_recover(&self.files);
-        let result = (|| {
-            let file = match files.entry(stem.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let path = self.dir.join(format!("{}.jsonl", e.key()));
-                    e.insert(OpenOptions::new().create(true).append(true).open(path)?)
-                }
-            };
-            if obs::fail::should_error("wal-append-error") {
-                return Err(io::Error::other("injected wal append error"));
-            }
-            file.write_all(line.as_bytes())?;
-            file.flush()?;
-            if self.fsync {
-                file.sync_data()?;
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-                *lock_recover(&self.depth).entry(stem).or_insert(0) += 1;
-                drop(files);
-                self.publish_depth();
-            }
-            Err(e) => {
-                self.metrics
-                    .wal_append_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                self.metrics.wal_degraded.store(1, Ordering::Relaxed);
-                if !self.degraded.swap(true, Ordering::Relaxed) {
-                    obs::warn(
-                        "rapd.wal",
-                        "wal_degraded",
-                        &[
-                            ("error", obs::Value::Str(e.to_string())),
-                            ("dir", obs::Value::Str(self.dir.display().to_string())),
-                        ],
-                    );
-                }
-            }
+        let json = entry.to_json().render();
+        let Some(journal) = self.journal(sanitize_tenant(&entry.tenant)) else {
+            return;
+        };
+        let mut journal = lock_recover(&journal);
+        if journal.log.append(&json) {
+            journal.live.push((entry.tenant.clone(), entry.seq));
+            self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
+            self.metrics.wal_depth.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drop every journaled entry of `tenant` with `seq <= ack_seq` — a
-    /// checkpoint now covers them. Entries carrying a *different*
-    /// embedded tenant are always kept (the ack covers this tenant's
-    /// pipeline, not theirs), so even a stem collision cannot discard a
-    /// neighbor's unacknowledged frames. The segment is rewritten
-    /// through a temp file, fsynced, and renamed into place, and the
-    /// segment lock is held across the whole read–rewrite–rename: a
-    /// concurrent observe-path append can land only before the read or
-    /// after the rename, never into the doomed inode.
+    /// A checkpoint now covers every entry of `tenant` with
+    /// `seq <= ack_seq`: forget them from the depth gauge and delete the
+    /// segments they fill (see the module docs). Holds only this stem's
+    /// lock, across a rename and at most two unlinks.
     pub fn compact(&self, tenant: &str, ack_seq: u64) {
         let stem = sanitize_tenant(tenant);
-        let path = self.dir.join(format!("{stem}.jsonl"));
-        let mut files = lock_recover(&self.files);
-        let result = (|| -> io::Result<Option<u64>> {
-            let data = match fs::read_to_string(&path) {
-                Ok(data) => data,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-                Err(e) => return Err(e),
-            };
-            let mut kept = String::with_capacity(data.len());
-            let mut kept_count = 0u64;
-            for line in data.lines() {
-                if let Some(entry) = parse_wal_line(line) {
-                    if entry.tenant == tenant && entry.seq <= ack_seq {
-                        continue;
-                    }
-                    kept_count += 1;
-                }
-                kept.push_str(line);
-                kept.push('\n');
-            }
-            if kept.len() == data.len() {
-                return Ok(Some(kept_count));
-            }
-            // Evict the cached append handle: after the rename it would
-            // still point at the replaced inode.
-            files.remove(&stem);
-            let tmp = path.with_extension("jsonl.compact");
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(kept.as_bytes())?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, &path)?;
-            self.metrics.wal_compactions.fetch_add(1, Ordering::Relaxed);
-            Ok(Some(kept_count))
-        })();
+        let Some(journal) = read_recover(&self.journals).get(&stem).cloned() else {
+            return;
+        };
+        let mut journal = lock_recover(&journal);
+        let before = journal.depth();
+        // the schema journal's registrations are never acknowledged, so
+        // its file is never sealed or deleted
+        let result = journal.compact(tenant, ack_seq, stem != SCHEMAS);
+        let acked = (before - journal.depth()) as u64;
+        self.metrics.wal_depth.fetch_sub(acked, Ordering::Relaxed);
         match result {
-            Ok(Some(kept_count)) => {
-                lock_recover(&self.depth).insert(stem, kept_count);
-                drop(files);
-                self.publish_depth();
+            Ok(deleted) => {
+                self.metrics
+                    .wal_compactions
+                    .fetch_add(deleted, Ordering::Relaxed);
             }
-            Ok(None) => {}
             Err(e) => obs::warn(
                 "rapd.wal",
                 "wal_compact_failed",
-                &[
-                    ("tenant", obs::Value::Str(tenant.to_string())),
-                    ("error", obs::Value::Str(e.to_string())),
-                ],
+                &[("tenant", tenant.into()), ("error", e.to_string().into())],
             ),
         }
     }
 
-    /// Scan every journal segment, repair torn tails, and return the
-    /// surviving entries ordered by sequence number — the replay stream.
+    /// Open every journal on disk, repairing torn tails, and return the
+    /// journaled entries ordered by sequence number — the replay stream.
     /// Unparseable (foreign-format) lines are skipped, never fatal: a
     /// journal that cannot be fully read must still yield what it can.
     pub fn recover(&self) -> Vec<WalEntry> {
+        let mut journals = write_recover(&self.journals);
+        journals.clear();
         let mut entries = Vec::new();
-        let mut depths: HashMap<String, u64> = HashMap::new();
-        let Ok(listing) = fs::read_dir(&self.dir) else {
-            return entries;
-        };
-        for dirent in listing.flatten() {
-            let path = dirent.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if !name.ends_with(".jsonl") || name == "schemas.jsonl" {
-                continue;
-            }
-            let stem = name.trim_end_matches(".jsonl").to_string();
-            if let Err(e) = repair_spool(&path) {
-                obs::warn(
+        let mut depth = 0;
+        let mut stems: Vec<String> = fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|dirent| {
+                let name = dirent.file_name().into_string().ok()?;
+                let stem = name
+                    .strip_suffix(".jsonl")
+                    .or_else(|| name.strip_suffix(".jsonl.1"))?;
+                Some(stem.to_string())
+            })
+            .collect();
+        stems.sort();
+        stems.dedup();
+        for stem in stems {
+            match self.open_journal(&stem) {
+                Ok((journal, found)) => {
+                    depth += journal.depth() as u64;
+                    entries.extend(found);
+                    journals.insert(stem, Arc::new(Mutex::new(journal)));
+                }
+                Err(e) => obs::warn(
                     "rapd.wal",
                     "wal_segment_unreadable",
-                    &[
-                        ("path", obs::Value::Str(path.display().to_string())),
-                        ("error", obs::Value::Str(e.to_string())),
-                    ],
-                );
-                continue;
+                    &[("stem", stem.into()), ("error", e.to_string().into())],
+                ),
             }
-            let Ok(data) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let mut count = 0u64;
-            for line in data.lines() {
-                if let Some(entry) = parse_wal_line(line) {
-                    count += 1;
-                    entries.push(entry);
-                }
-            }
-            depths.insert(stem, count);
         }
+        self.metrics.wal_depth.store(depth, Ordering::Relaxed);
         entries.sort_by_key(|e| e.seq);
-        *lock_recover(&self.depth) = depths;
-        self.publish_depth();
         entries
     }
 
@@ -368,66 +386,19 @@ impl FrameWal {
     /// its frames after a restart. Append-only; duplicates are fine (the
     /// last entry for a tenant wins at recovery).
     pub fn append_schema(&self, tenant: &str, parts: &[(String, Vec<String>)]) {
-        let doc = Json::Obj(vec![
-            ("tenant".to_string(), Json::str(tenant)),
-            (
-                "attrs".to_string(),
-                Json::Arr(
-                    parts
-                        .iter()
-                        .map(|(name, elements)| {
-                            Json::Arr(vec![
-                                Json::str(name),
-                                Json::Arr(elements.iter().map(Json::str).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let doc = Json::obj([
+            ("tenant", Json::str(tenant)),
+            ("attrs", parts_to_json(parts)),
         ]);
-        let line = frame_spool_line(&doc.render());
-        let path = self.dir.join("schemas.jsonl");
-        let result = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(line.as_bytes()).and_then(|()| f.flush()));
-        if let Err(e) = result {
-            obs::warn(
-                "rapd.wal",
-                "schema_journal_failed",
-                &[
-                    ("tenant", obs::Value::Str(tenant.to_string())),
-                    ("error", obs::Value::Str(e.to_string())),
-                ],
-            );
+        if let Some(journal) = self.journal(SCHEMAS.to_string()) {
+            lock_recover(&journal).log.append(&doc.render());
         }
     }
 
     /// Load the schema journal: `(tenant, attribute parts)` with the last
     /// entry per tenant winning.
     pub fn recover_schemas(&self) -> Vec<(String, SchemaParts)> {
-        let path = self.dir.join("schemas.jsonl");
-        if repair_spool(&path).is_err() {
-            return Vec::new();
-        }
-        let Ok(data) = fs::read_to_string(&path) else {
-            return Vec::new();
-        };
-        let mut latest: Vec<(String, SchemaParts)> = Vec::new();
-        for line in data.lines() {
-            let Some(doc) = parse_framed(line) else {
-                continue;
-            };
-            let Some(parsed) = parse_schema_entry(&doc) else {
-                continue;
-            };
-            match latest.iter_mut().find(|(t, _)| *t == parsed.0) {
-                Some(slot) => slot.1 = parsed.1,
-                None => latest.push(parsed),
-            }
-        }
-        latest
+        read_schemas(&self.dir)
     }
 }
 
@@ -443,12 +414,10 @@ pub fn read_tenant_suffix(spool_dir: &Path, tenant: &str, after_seq: u64) -> Vec
     let path = spool_dir
         .join("wal")
         .join(format!("{}.jsonl", sanitize_tenant(tenant)));
-    let Ok(data) = fs::read_to_string(&path) else {
-        return Vec::new();
-    };
-    let mut entries: Vec<WalEntry> = data
-        .lines()
-        .filter_map(parse_wal_line)
+    let mut entries: Vec<WalEntry> = [sealed_path(&path), path]
+        .iter()
+        .flat_map(|segment| read_docs(segment))
+        .filter_map(|doc| WalEntry::from_json(&doc))
         .filter(|e| e.tenant == tenant && e.seq > after_seq)
         .collect();
     entries.sort_by_key(|e| e.seq);
@@ -459,37 +428,26 @@ pub fn read_tenant_suffix(spool_dir: &Path, tenant: &str, after_seq: u64) -> Vec
 /// read-only (last entry wins). The handoff fallback when the router has
 /// not seen the tenant's schema line itself.
 pub fn read_schema_parts(spool_dir: &Path, tenant: &str) -> Option<SchemaParts> {
-    let path = spool_dir.join("wal").join("schemas.jsonl");
-    let data = fs::read_to_string(&path).ok()?;
-    let mut latest = None;
-    for line in data.lines() {
-        let Some(doc) = parse_framed(line) else {
-            continue;
-        };
-        if let Some((t, parts)) = parse_schema_entry(&doc) {
-            if t == tenant {
-                latest = Some(parts);
-            }
+    read_schemas(&spool_dir.join("wal"))
+        .into_iter()
+        .find(|(t, _)| t == tenant)
+        .map(|(_, parts)| parts)
+}
+
+/// Every tenant's latest journaled schema under a WAL directory, in
+/// order of first registration.
+fn read_schemas(dir: &Path) -> Vec<(String, SchemaParts)> {
+    let mut latest: Vec<(String, SchemaParts)> = Vec::new();
+    for parsed in read_docs(&dir.join("schemas.jsonl"))
+        .iter()
+        .filter_map(parse_schema_entry)
+    {
+        match latest.iter_mut().find(|(t, _)| *t == parsed.0) {
+            Some(slot) => slot.1 = parsed.1,
+            None => latest.push(parsed),
         }
     }
     latest
-}
-
-/// Strip the CRC framing (when present and valid) and parse the JSON.
-fn parse_framed(line: &str) -> Option<Json> {
-    use crate::sink::{judge_line, LineVerdict};
-    match judge_line(line) {
-        LineVerdict::Verified => {
-            let (json, _) = line.rsplit_once('\t')?;
-            crate::json::parse(json).ok()
-        }
-        LineVerdict::Legacy => crate::json::parse(line).ok(),
-        LineVerdict::Corrupt => None,
-    }
-}
-
-fn parse_wal_line(line: &str) -> Option<WalEntry> {
-    WalEntry::from_json(&parse_framed(line)?)
 }
 
 fn parse_schema_entry(doc: &Json) -> Option<(String, SchemaParts)> {
@@ -500,14 +458,7 @@ fn parse_schema_entry(doc: &Json) -> Option<(String, SchemaParts)> {
         .iter()
         .map(|attr| {
             let attr = attr.as_arr()?;
-            let name = attr.first()?.as_str()?.to_string();
-            let elements = attr
-                .get(1)?
-                .as_arr()?
-                .iter()
-                .map(|e| Some(e.as_str()?.to_string()))
-                .collect::<Option<Vec<String>>>()?;
-            Some((name, elements))
+            Some((attr.first()?.as_str()?.to_string(), strings(attr.get(1)?)?))
         })
         .collect::<Option<Vec<_>>>()?;
     Some((tenant, parts))
@@ -516,9 +467,18 @@ fn parse_schema_entry(doc: &Json) -> Option<(String, SchemaParts)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::frame_spool_line;
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
+    }
+
+    impl FrameWal {
+        /// The `rapd_wal_depth` gauge: entries no checkpoint has
+        /// acknowledged yet, across all tenants.
+        fn depth(&self) -> u64 {
+            self.metrics.wal_depth.load(Ordering::Relaxed)
+        }
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -538,6 +498,45 @@ mod tests {
                 (vec!["L1".to_string(), "S1".to_string()], 100.5),
                 (vec!["L2".to_string(), "S2".to_string()], 0.25),
             ],
+        }
+    }
+
+    /// The replay stream boot feeds the shards: every recovered entry
+    /// past its tenant's checkpoint acknowledgment, as `(tenant, seq)`.
+    fn replay(wal: &FrameWal, acks: &[(&str, u64)]) -> Vec<(String, u64)> {
+        wal.recover()
+            .into_iter()
+            .filter(|e| {
+                let ack = acks.iter().find(|(t, _)| *t == e.tenant).map_or(0, |a| a.1);
+                e.seq > ack
+            })
+            .map(|e| (e.tenant, e.seq))
+            .collect()
+    }
+
+    /// The compaction invariant on disk: `tenant` has at most two segment
+    /// files, and none of them holds only entries `ack` covers.
+    fn assert_no_fully_acked_segment(dir: &Path, tenant: &str, ack: u64) {
+        let live = dir
+            .join("wal")
+            .join(format!("{}.jsonl", sanitize_tenant(tenant)));
+        let segments: Vec<Vec<u64>> = [sealed_path(&live), live]
+            .iter()
+            .filter(|p| p.exists())
+            .map(|p| {
+                read_docs(p)
+                    .iter()
+                    .filter_map(WalEntry::from_json)
+                    .map(|e| e.seq)
+                    .collect()
+            })
+            .collect();
+        assert!(segments.len() <= 2, "{tenant}: {segments:?}");
+        for seqs in &segments {
+            assert!(
+                seqs.is_empty() || seqs.iter().any(|&seq| seq > ack),
+                "{tenant}: segment {seqs:?} holds only entries acked by {ack}"
+            );
         }
     }
 
@@ -590,22 +589,121 @@ mod tests {
             wal.append(&entry("t", seq, None));
         }
         wal.compact("t", 3);
-        assert_eq!(m.wal_compactions.load(Ordering::Relaxed), 1);
         assert_eq!(wal.depth(), 1);
-        // the evicted handle reopens the compacted segment transparently
+        assert_no_fully_acked_segment(&dir, "t", 3);
+        // appends continue into a fresh live segment
         wal.append(&entry("t", 5, None));
-        let entries = wal.recover();
         assert_eq!(
-            entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            [4, 5],
+            replay(&wal, &[("t", 3)]),
+            [("t".to_string(), 4), ("t".to_string(), 5)],
             "only the unacknowledged suffix survives"
         );
-        // acking everything leaves an empty but intact segment
+        // acking everything deletes both segments, leaving an empty live one
         wal.compact("t", 5);
-        assert_eq!(wal.recover().len(), 0);
+        assert_eq!(m.wal_compactions.load(Ordering::Relaxed), 2);
         assert_eq!(wal.depth(), 0);
+        assert!(!dir.join("wal/t.jsonl.1").exists());
+        assert_eq!(fs::read_to_string(dir.join("wal/t.jsonl")).unwrap(), "");
+        assert_eq!(wal.recover().len(), 0);
         // a tenant with no segment is a no-op, not an error
         wal.compact("ghost", 10);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_matches_a_model_under_random_appends_acks_and_reopens() {
+        const TENANTS: [&str; 2] = ["edge", "core.eu"];
+        for seed in 1..=16u64 {
+            let dir = scratch(&format!("model-{seed}"));
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut wal = FrameWal::open(&dir, metrics(), false).unwrap();
+            // the model: every appended (tenant, seq), and each tenant's ack
+            let mut appended: Vec<(usize, u64)> = Vec::new();
+            let mut acks = [0u64; 2];
+            let mut seq = 0u64;
+            for step in 0..150 {
+                let t = (next() % 2) as usize;
+                let op = next() % 10;
+                match op {
+                    0..=5 => {
+                        seq += 1;
+                        wal.append(&entry(TENANTS[t], seq, None));
+                        appended.push((t, seq));
+                    }
+                    6..=8 => {
+                        acks[t] += next() % (seq - acks[t] + 1);
+                        wal.compact(TENANTS[t], acks[t]);
+                    }
+                    _ => {
+                        // crash and reboot: boot replays past each
+                        // checkpoint's ack and re-applies it
+                        drop(wal);
+                        wal = FrameWal::open(&dir, metrics(), false).unwrap();
+                        let replayed =
+                            replay(&wal, &[(TENANTS[0], acks[0]), (TENANTS[1], acks[1])]);
+                        let expected: Vec<(String, u64)> = appended
+                            .iter()
+                            .filter(|(t, s)| *s > acks[*t])
+                            .map(|(t, s)| (TENANTS[*t].to_string(), *s))
+                            .collect();
+                        assert_eq!(replayed, expected, "seed {seed} step {step}: replay");
+                        for (t, tenant) in TENANTS.iter().enumerate() {
+                            wal.compact(tenant, acks[t]);
+                        }
+                    }
+                }
+                let unacked = |t: usize| -> Vec<u64> {
+                    appended
+                        .iter()
+                        .filter(|(u, s)| *u == t && *s > acks[t])
+                        .map(|(_, s)| *s)
+                        .collect()
+                };
+                for (t, tenant) in TENANTS.iter().enumerate() {
+                    let suffix: Vec<u64> = read_tenant_suffix(&dir, tenant, acks[t])
+                        .iter()
+                        .map(|e| e.seq)
+                        .collect();
+                    assert_eq!(suffix, unacked(t), "seed {seed} step {step}: {tenant}");
+                    assert_no_fully_acked_segment(&dir, tenant, acks[t]);
+                }
+                assert_eq!(
+                    wal.depth(),
+                    (unacked(0).len() + unacked(1).len()) as u64,
+                    "seed {seed} step {step} op {op}: depth"
+                );
+            }
+            drop(wal);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn single_file_journal_from_before_segments_replays_unchanged() {
+        // the journal layout before segment rotation: one `<stem>.jsonl`
+        // holding every unacknowledged entry, no `.1`
+        let dir = scratch("parent-layout");
+        fs::create_dir_all(dir.join("wal")).unwrap();
+        let written: Vec<WalEntry> = (4..=7).map(|seq| entry("edge", seq, Some(seq))).collect();
+        let journal: String = written
+            .iter()
+            .map(|e| frame_spool_line(&e.to_json().render()))
+            .collect();
+        fs::write(dir.join("wal/edge.jsonl"), &journal).unwrap();
+        let wal = FrameWal::open(&dir, metrics(), false).unwrap();
+        assert_eq!(wal.recover(), written);
+        assert_eq!(wal.depth(), 4);
+        assert_eq!(read_tenant_suffix(&dir, "edge", 5), written[2..]);
+        // and it compacts like any other journal
+        wal.compact("edge", 5);
+        assert_eq!(wal.depth(), 2);
+        assert_no_fully_acked_segment(&dir, "edge", 5);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -666,9 +764,9 @@ mod tests {
 
     #[test]
     fn concurrent_appends_never_vanish_into_a_compaction() {
-        // Regression: compact once held the segment lock only to evict
-        // the cached handle, so an append landing between its read and
-        // its rename went into the replaced inode and silently vanished.
+        // Compaction seals and deletes segments while the tenant's
+        // appends stream in; the tenant lock orders each append wholly
+        // before or after a rotation, so no line lands in a deleted file.
         let dir = scratch("race");
         let wal = Arc::new(FrameWal::open(&dir, metrics(), false).unwrap());
         const TOTAL: u64 = 300;
@@ -687,13 +785,15 @@ mod tests {
         }
         appender.join().unwrap();
         wal.compact("t", ACK);
-        let entries = wal.recover();
+        assert_eq!(wal.depth(), TOTAL - ACK, "depth matches the survivors");
+        assert_no_fully_acked_segment(&dir, "t", ACK);
         assert_eq!(
-            entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            (ACK + 1..=TOTAL).collect::<Vec<_>>(),
+            replay(&wal, &[("t", ACK)]),
+            (ACK + 1..=TOTAL)
+                .map(|seq| ("t".to_string(), seq))
+                .collect::<Vec<_>>(),
             "every unacknowledged append survives concurrent compaction"
         );
-        assert_eq!(wal.depth(), TOTAL - ACK, "depth matches the survivors");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -714,14 +814,16 @@ mod tests {
             forged.push_str(&frame_spool_line(&e.to_json().render()));
         }
         fs::write(dir.join("wal/x.jsonl"), forged).unwrap();
+        wal.recover();
         wal.compact("x", 10);
-        let entries = wal.recover();
         assert_eq!(
-            entries
-                .iter()
-                .map(|e| (e.tenant.as_str(), e.seq))
-                .collect::<Vec<_>>(),
-            [("y", 2)],
+            wal.depth(),
+            1,
+            "only the foreign entry stays unacknowledged"
+        );
+        assert_eq!(
+            replay(&wal, &[("x", 10)]),
+            [("y".to_string(), 2)],
             "the foreign tenant's entry survives x's blanket ack"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -734,8 +836,80 @@ mod tests {
         wal.append(&entry("t", 1, Some(9)));
         wal.append(&entry("t", 2, None));
         wal.compact("t", 1);
-        let entries = wal.recover();
-        assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [2]);
+        assert_eq!(wal.depth(), 1);
+        assert_no_fully_acked_segment(&dir, "t", 1);
+        assert_eq!(replay(&wal, &[("t", 1)]), [("t".to_string(), 2)]);
+        // acking the rest deletes both segments, leaving an empty live one
+        wal.compact("t", 2);
+        assert_eq!(wal.depth(), 0);
+        assert!(!dir.join("wal/t.jsonl.1").exists());
+        assert_eq!(fs::read_to_string(dir.join("wal/t.jsonl")).unwrap(), "");
+        assert!(wal.recover().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tenants_sharing_a_stem_only_ack_their_own_entries() {
+        // `a.b` hashes to the stem `a_b-<crc32>`, which is itself a safe
+        // name that another tenant may send verbatim: both share a journal
+        let lossy = "a.b";
+        let verbatim = sanitize_tenant(lossy);
+        let dir = scratch("collide");
+        let wal = FrameWal::open(&dir, metrics(), false).unwrap();
+        for seq in 1..=4 {
+            let tenant = if seq % 2 == 1 {
+                lossy
+            } else {
+                verbatim.as_str()
+            };
+            wal.append(&entry(tenant, seq, None));
+        }
+        wal.compact(lossy, 10);
+        assert_eq!(wal.depth(), 2);
+        assert_no_fully_acked_segment(&dir, &verbatim, 0);
+        let suffix = read_tenant_suffix(&dir, &verbatim, 0);
+        assert_eq!(suffix.iter().map(|e| e.seq).collect::<Vec<_>>(), [2, 4]);
+        assert_eq!(
+            replay(&wal, &[(lossy, 10)]),
+            [(verbatim.clone(), 2), (verbatim.clone(), 4)],
+            "one tenant's ack keeps the other's unacknowledged entries"
+        );
+        // once the other tenant acks too (after boot's re-applied ack),
+        // both segments go
+        wal.compact(lossy, 10);
+        wal.compact(&verbatim, 4);
+        assert_eq!(wal.depth(), 0);
+        assert!(!dir.join(format!("wal/{verbatim}.jsonl.1")).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tenant_named_schemas_never_costs_the_schema_journal() {
+        let dir = scratch("schemas-tenant");
+        let parts = vec![("loc".to_string(), vec!["L1".to_string()])];
+        {
+            let wal = FrameWal::open(&dir, metrics(), false).unwrap();
+            wal.append_schema("edge", &parts);
+            wal.append_schema("schemas", &parts);
+            for seq in 1..=3 {
+                wal.append(&entry("schemas", seq, None));
+            }
+            wal.compact("schemas", 2);
+            wal.compact("schemas", 3);
+            assert_eq!(wal.depth(), 0);
+            // registrations after the compactions still land
+            wal.append_schema("core", &parts);
+            wal.append(&entry("schemas", 4, None));
+        }
+        assert!(!dir.join("wal/schemas.jsonl.1").exists());
+        let wal = FrameWal::open(&dir, metrics(), false).unwrap();
+        let tenants: Vec<String> = wal.recover_schemas().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(tenants, ["edge", "schemas", "core"]);
+        // the tenant's frames replay like any other tenant's
+        assert_eq!(
+            replay(&wal, &[("schemas", 3)]),
+            [("schemas".to_string(), 4)]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -754,11 +928,22 @@ mod tests {
             [2, 5],
             "only this tenant's entries past the ack"
         );
+        // a compaction seals the live segment; the reader spans both
+        wal.compact("t", 1);
+        wal.append(&entry("t", 6, None));
+        assert!(dir.join("wal/t.jsonl.1").is_file());
+        assert_eq!(
+            read_tenant_suffix(&dir, "t", 1)
+                .iter()
+                .map(|e| e.seq)
+                .collect::<Vec<_>>(),
+            [2, 5, 6]
+        );
         // a torn tail is skipped without touching the file
         let path = dir.join("wal/t.jsonl");
         let before = fs::read_to_string(&path).unwrap();
         fs::write(&path, format!("{before}{{\"tenant\":\"t\",\"fra")).unwrap();
-        assert_eq!(read_tenant_suffix(&dir, "t", 0).len(), 3);
+        assert_eq!(read_tenant_suffix(&dir, "t", 0).len(), 4);
         assert!(
             fs::read_to_string(&path).unwrap().ends_with("\"fra"),
             "the live segment is never rewritten by the read-only path"

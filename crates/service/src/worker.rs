@@ -208,9 +208,9 @@ fn envelope_reply(payload: &str, shared: &Shared) -> String {
                 .metrics
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            return crate::json::Json::Obj(vec![
-                ("type".to_string(), crate::json::Json::str("error")),
-                ("reason".to_string(), crate::json::Json::str(reason)),
+            return crate::json::Json::obj([
+                ("type", crate::json::Json::str("error")),
+                ("reason", crate::json::Json::str(reason)),
             ])
             .render();
         }

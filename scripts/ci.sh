@@ -77,7 +77,8 @@
 # Step filters (for iterating on one gate without the other fifteen):
 #   CI_STEPS=10,16 scripts/ci.sh   run only the listed steps
 #   CI_SKIP=11     scripts/ci.sh   run everything except the listed steps
-# A per-step wall-clock summary is printed on exit, pass or fail.
+# A per-step wall-clock summary is printed on exit, pass or fail, with
+# the non-test line count of crates/service/src.
 #
 # The workspace is fully offline (external deps resolve to crates/shims/),
 # so --offline is passed everywhere; no network access is required.
@@ -126,6 +127,18 @@ timing_summary() {
     for line in "${STEP_LINES[@]}"; do
         echo "$line"
     done
+    service_lines
+}
+
+# Size of rapd's code, reported next to the bench numbers: the lines of
+# each crates/service/src file above its first column-0 `#[cfg(test)]`
+# (the unit-test module), and the total including tests.
+service_lines() {
+    local code total
+    code=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n }' \
+        crates/service/src/*.rs)
+    total=$(cat crates/service/src/*.rs | wc -l)
+    echo "==> crates/service/src: ${code} non-test lines (${total} with tests)"
 }
 
 DET_DIR="$(mktemp -d)"

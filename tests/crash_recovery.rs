@@ -203,7 +203,11 @@ fn observe_line(tenant: &str, rows: &[(Vec<String>, f64)]) -> String {
 }
 
 fn temp_spool(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rapd-crash-{tag}-{}", std::process::id()));
+    // the serial keeps apart tests that run in parallel with the same tag
+    static SERIAL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let serial = SERIAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("rapd-crash-{tag}-{}-{serial}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create spool dir");
     dir
